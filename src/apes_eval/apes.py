@@ -17,11 +17,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ApesReport:
-    """Micro average, per-document tallies, and the macro (per-doc mean) score."""
+    """Micro average, per-document tallies, macro (per-doc mean) score, entity stats."""
 
     overall: float
     macro: float
     per_doc: dict[str, tuple[int, int]]  # doc_id -> (correct, total)
+    entities: EntityStats
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ def _doc_index(documents: Iterable[Document]) -> dict[str, Document]:
 
 def _summary_index(
     summaries: Iterable[SystemSummary], docs: Mapping[str, Document]
-) -> dict[str, SystemSummary]:
+) -> dict[str, tuple[str, ...]]:
+    """doc_id -> the document's summary anonymized against its entity table."""
     index: dict[str, SystemSummary] = {}
     missing = []
     for summary in summaries:
@@ -53,7 +55,10 @@ def _summary_index(
         index[summary.doc_id] = summary
     if missing:
         raise ValueError(f"summaries reference unknown document ids: {sorted(missing)}")
-    return index
+    return {
+        doc_id: tuple(anonymize_free_text(summary.tokens, docs[doc_id].table))
+        for doc_id, summary in index.items()
+    }
 
 
 def salient_entity_ids(doc: Document) -> set[int]:
@@ -66,38 +71,32 @@ def salient_entity_ids(doc: Document) -> set[int]:
 
 
 def build_requests(
-    documents: Iterable[Document],
-    summaries: Iterable[SystemSummary],
+    docs: Mapping[str, Document],
+    contexts: Mapping[str, tuple[str, ...]],
     questions: Sequence[ClozeQuestion],
 ) -> tuple[list[tuple[ClozeQuestion, ReaderRequest]], list[ClozeQuestion]]:
     """Requests for questions whose document has a summary.
 
-    The context is the summary anonymized against the document's entity
-    table. Returns (question, request) pairs plus the questions that could
-    not be asked (no summary for their document).
+    `contexts` maps a document id to its summary anonymized against the
+    document's entity table (see `_summary_index`). Returns (question,
+    request) pairs plus the questions that could not be asked (no summary
+    for their document).
     """
-    docs = _doc_index(documents)
-    index = _summary_index(summaries, docs)
     unknown = sorted({q.doc_id for q in questions} - set(docs))
     if unknown:
         raise ValueError(f"questions reference unknown document ids: {unknown}")
 
-    context_cache: dict[str, tuple[str, ...]] = {}
     asked: list[tuple[ClozeQuestion, ReaderRequest]] = []
     unanswerable: list[ClozeQuestion] = []
     for q in questions:
-        summary = index.get(q.doc_id)
-        if summary is None:
+        context = contexts.get(q.doc_id)
+        if context is None:
             unanswerable.append(q)
             continue
-        if q.doc_id not in context_cache:
-            context_cache[q.doc_id] = tuple(
-                anonymize_free_text(summary.tokens, docs[q.doc_id].table)
-            )
         request = ReaderRequest(
             qid=q.qid,
             question=q.question,
-            context=context_cache[q.doc_id],
+            context=context,
             candidates=q.candidates,
             gold=q.answer,
         )
@@ -116,9 +115,12 @@ def score_apes(
     Questions whose document has no summary count as incorrect (warned).
     The micro average pools questions over the whole corpus; the macro
     average is the mean of per-document fractions over documents with at
-    least one question.
+    least one question. The entity statistics read the same anonymized
+    summaries as the reader.
     """
-    asked, unanswerable = build_requests(documents, summaries, questions)
+    docs = _doc_index(documents)
+    contexts = _summary_index(summaries, docs)
+    asked, unanswerable = build_requests(docs, contexts, questions)
     if unanswerable:
         skipped_docs = sorted({q.doc_id for q in unanswerable})
         log.warning(
@@ -148,6 +150,7 @@ def score_apes(
         overall=correct / total if total else 0.0,
         macro=sum(fractions) / len(fractions) if fractions else 0.0,
         per_doc={doc_id: (c, t) for doc_id, (c, t) in sorted(per_doc.items())},
+        entities=_entity_stats(docs, contexts),
     )
 
 
@@ -162,16 +165,19 @@ def entity_stats(
     have any (computed on the documents the summaries cover).
     """
     docs = _doc_index(documents)
-    _summary_index(summaries, docs)
+    return _entity_stats(docs, _summary_index(summaries, docs))
 
+
+def _entity_stats(
+    docs: Mapping[str, Document], contexts: Mapping[str, tuple[str, ...]]
+) -> EntityStats:
     counts: list[int] = []
     salient_counts: list[int] = []
     densities: list[float] = []
-    for summary in sorted(summaries, key=lambda s: s.doc_id):
-        doc = docs[summary.doc_id]
-        anonymized = anonymize_free_text(summary.tokens, doc.table)
+    for doc_id in sorted(contexts):
+        doc = docs[doc_id]
         mentioned = {
-            eid for eid in map(parse_entity_token, anonymized) if eid is not None
+            eid for eid in map(parse_entity_token, contexts[doc_id]) if eid is not None
         }
         salient = salient_entity_ids(doc)
         counts.append(len(mentioned))

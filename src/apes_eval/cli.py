@@ -7,7 +7,8 @@ verification), correlate (score-table correlation matrices).
 Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 Reports format floats to 6 decimals (round-half-even) with stable key
 order, so reruns on identical inputs are byte-identical. The
-APES_EVAL_THREADS environment variable caps per-question parallelism and
+APES_EVAL_THREADS environment variable is validated (an integer, or exit
+1), but readers answer the questions one by one in request order, so it
 never changes output bytes.
 """
 
@@ -23,14 +24,8 @@ import os
 import sys
 from typing import Sequence
 
-from . import apes, attnloss, decode, qgen, reader, rouge, stats
-from .corpus import (
-    CorpusError,
-    Document,
-    SystemSummary,
-    load_corpus,
-    load_summaries,
-)
+from . import apes, qgen, reader, rouge, stats
+from .corpus import Document, SystemSummary, load_corpus, load_summaries
 
 log = logging.getLogger(__name__)
 
@@ -79,10 +74,11 @@ def _threads() -> int:
 
 
 def _resolve_reader(name: str, command: str | None, threads: int) -> reader.BatchReader:
+    """The batch reader for --reader; `threads` is validated but not used."""
     if name == "oracle":
-        return reader.batch_reader(reader.answer_oracle, threads)
+        return reader.batch_reader(reader.answer_oracle)
     if name == "lexical":
-        return reader.batch_reader(reader.answer_lexical, threads)
+        return reader.batch_reader(reader.answer_lexical)
     if name == "external":
         if not command:
             raise CliError("--reader external requires --reader-cmd")
@@ -171,7 +167,6 @@ def build_report(
 ) -> dict:
     """The joint ROUGE + APES report for one system."""
     apes_report = apes.score_apes(docs, summaries, questions, batch)
-    entity_block = apes.entity_stats(docs, summaries)
     return {
         "apes": {
             "overall": apes_report.overall,
@@ -183,9 +178,9 @@ def build_report(
         },
         "rouge": _rouge_block(docs, summaries, references, multi_ref),
         "entity_stats": {
-            "avg_entities": entity_block.avg_entities,
-            "avg_salient_entities": entity_block.avg_salient_entities,
-            "salient_density": entity_block.salient_density,
+            "avg_entities": apes_report.entities.avg_entities,
+            "avg_salient_entities": apes_report.entities.avg_salient_entities,
+            "salient_density": apes_report.entities.salient_density,
         },
         "n_docs": len(docs),
         "n_questions": len(questions),
@@ -207,6 +202,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_decode_demo(args: argparse.Namespace) -> int:
+    from . import decode  # numpy loads only for the commands that use it
+
     model = decode.load_model(args.model)
     cfg = decode.PenaltyConfig(
         alpha=args.alpha,
@@ -237,6 +234,8 @@ def cmd_decode_demo(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
+    from . import attnloss
+
     error = attnloss.run_gradcheck(args.seed, args.trials)
     status = "PASS" if error < GRADCHECK_TOLERANCE else "FAIL"
     print(
@@ -321,8 +320,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (CliError, CorpusError, stats.StatsError, decode.ModelError,
-            reader.ReaderProtocolError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every module's input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -351,6 +351,8 @@ def parse_document(obj: dict, *, where: str = "document") -> Document:
         raise CorpusError(f"{where}: missing key {exc}") from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError(f"{where}: id must be a non-empty string")
+    if isinstance(highlight_texts, str):
+        raise CorpusError(f"{where}: highlights must be a list of strings, not a string")
 
     source = tuple(tokenize(source_text))
     if not source:

@@ -103,18 +103,22 @@ def write_questions(path: str, questions: Iterable[ClozeQuestion]) -> None:
 
 
 def load_questions(path: str) -> list[ClozeQuestion]:
+    """Read questions JSONL; qids must be unique, since answers join on them."""
     questions = []
+    seen: set[str] = set()
     for lineno, obj in iter_jsonl(path):
         try:
-            questions.append(
-                ClozeQuestion(
-                    doc_id=str(obj["doc_id"]),
-                    qid=str(obj["qid"]),
-                    question=tuple(str(t) for t in obj["question"]),
-                    answer=str(obj["answer"]),
-                    candidates=tuple(str(c) for c in obj["candidates"]),
-                )
+            q = ClozeQuestion(
+                doc_id=str(obj["doc_id"]),
+                qid=str(obj["qid"]),
+                question=tuple(str(t) for t in obj["question"]),
+                answer=str(obj["answer"]),
+                candidates=tuple(str(c) for c in obj["candidates"]),
             )
         except (KeyError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: bad question: {exc}") from exc
+        if q.qid in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate qid {q.qid!r}")
+        seen.add(q.qid)
+        questions.append(q)
     return questions

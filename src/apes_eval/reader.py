@@ -161,22 +161,10 @@ def run_external_reader(
     return answers
 
 
-def batch_reader(
-    answer_one: Callable[[ReaderRequest], ReaderAnswer], threads: int = 1
-) -> BatchReader:
-    """Lift a per-request reader to the batch interface.
-
-    With threads > 1 requests are answered on a thread pool; the answer
-    order always matches the request order, so results are independent of
-    scheduling.
-    """
+def batch_reader(answer_one: Callable[[ReaderRequest], ReaderAnswer]) -> BatchReader:
+    """Lift a per-request reader to the batch interface, answering in request order."""
 
     def run(requests: Sequence[ReaderRequest]) -> list[ReaderAnswer]:
-        if threads > 1 and len(requests) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(answer_one, requests))
         return [answer_one(r) for r in requests]
 
     return run

@@ -1,11 +1,17 @@
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import textwrap
 
-from apes_eval import synth
+from apes_eval import apes, cli, qgen, synth
 from apes_eval.cli import dumps_report, main
 from apes_eval.corpus import document_to_json
+from apes_eval.reader import answer_lexical, batch_reader
 from conftest import FIG_DOC, write_jsonl
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def make_inputs(tmp_path, n_docs=6, seed=0, shuffle=False):
@@ -79,6 +85,17 @@ class TestQgen:
         assert "no questions" in caplog.text
         assert "bare" in caplog.text
         assert out.read_text() == ""
+
+    def test_string_highlights_exit_one(self, tmp_path, capsys):
+        corpus_path = write_jsonl(
+            tmp_path / "corpus.jsonl",
+            [FIG_DOC, {"id": "s", "source": "Kelar spoke .", "highlights": "Kelar spoke ."}],
+        )
+        rc = main(["qgen", "--corpus", corpus_path, "--out", str(tmp_path / "q.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "corpus.jsonl:2" in err
+        assert "highlights" in err
 
 
 class TestEvaluate:
@@ -309,6 +326,42 @@ class TestEvaluate:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_duplicate_qid_exit_one(self, tmp_path, capsys):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        lines = open(questions_path).read().splitlines()
+        with open(questions_path, "a") as handle:
+            handle.write(lines[0] + "\n")
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--sys", sys_path,
+                "--questions", questions_path,
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"questions.jsonl:{len(lines) + 1}" in err
+        assert "duplicate qid" in err
+
+    def test_build_report_anonymizes_each_summary_once(self, monkeypatch):
+        docs = synth.make_corpus(6, seed=3)
+        summaries = [synth.reference_summary(d) for d in docs]
+        questions = [q for d in docs for q in qgen.generate_questions(d)]
+        calls = []
+        original = apes.anonymize_free_text
+
+        def counting(tokens, table):
+            calls.append(tuple(tokens))
+            return original(tokens, table)
+
+        monkeypatch.setattr(apes, "anonymize_free_text", counting)
+        cli.build_report(
+            docs, summaries, questions, batch_reader(answer_lexical), cli._references(docs, None)
+        )
+        assert sorted(calls) == sorted(s.tokens for s in summaries)
+
     def test_report_roundtrip_stable(self, tmp_path):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         out = tmp_path / "report.json"
@@ -429,6 +482,15 @@ class TestCorrelate:
 
 
 class TestUsage:
+    def test_import_leaves_numpy_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        probe = "import sys, apes_eval.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
 

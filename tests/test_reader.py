@@ -12,7 +12,6 @@ from apes_eval.reader import (
     ReaderProtocolError,
     answer_lexical,
     answer_oracle,
-    batch_reader,
     request_to_json,
     run_external_reader,
 )
@@ -216,9 +215,3 @@ class TestExternalReader:
         assert set(wire) == {"qid", "question", "context", "candidates"}
         json.dumps(wire)
 
-
-def test_batch_reader_matches_sequential_under_threads():
-    requests = _requests(8)
-    direct = batch_reader(answer_lexical, threads=1)(requests)
-    threaded = batch_reader(answer_lexical, threads=4)(requests)
-    assert direct == threaded
