@@ -13,23 +13,22 @@ from apes_eval import synth
 from apes_eval.apes import score_apes
 from apes_eval.qgen import generate_questions
 from apes_eval.reader import answer_lexical, batch_reader
-from apes_eval.rouge import REPORT_VARIANTS
+from apes_eval.rouge import REPORT_VARIANTS, score_variants
 
 
 def evaluate(docs, summaries, questions):
     reader = batch_reader(answer_lexical)
     apes_report = score_apes(docs, summaries, questions, reader)
     by_doc = {s.doc_id: s for s in summaries}
-    rouge_means = {}
     per_doc_rows = {}
-    for variant, cfg in REPORT_VARIANTS.items():
-        values = []
-        for doc in sorted(docs, key=lambda d: d.id):
-            ref = [tuple(t for h in doc.highlights for t in h)]
-            score = cfg.score(by_doc[doc.id].tokens, ref)
-            values.append(score.f1)
-            per_doc_rows.setdefault(doc.id, {})[variant] = score.f1
-        rouge_means[variant] = statistics.mean(values)
+    for doc in sorted(docs, key=lambda d: d.id):
+        ref = [tuple(t for h in doc.highlights for t in h)]
+        scores = score_variants(by_doc[doc.id].tokens, ref)
+        per_doc_rows[doc.id] = {variant: score.f1 for variant, score in scores.items()}
+    rouge_means = {
+        variant: statistics.mean(row[variant] for row in per_doc_rows.values())
+        for variant in REPORT_VARIANTS
+    }
     for doc_id, (correct, total) in apes_report.per_doc.items():
         per_doc_rows[doc_id]["apes"] = correct / total if total else 0.0
     return apes_report.overall, rouge_means, per_doc_rows

@@ -15,7 +15,6 @@ never changes output bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -131,11 +130,7 @@ def _rouge_block(
     multi_ref: str = "max",
 ) -> dict[str, dict[str, float]]:
     by_doc = {s.doc_id: s for s in summaries}
-    configs = {
-        name: dataclasses.replace(cfg, multi_ref=multi_ref)
-        for name, cfg in rouge.REPORT_VARIANTS.items()
-    }
-    per_variant: dict[str, list[rouge.RougeScore]] = {v: [] for v in configs}
+    per_variant: dict[str, list[rouge.RougeScore]] = {v: [] for v in rouge.REPORT_VARIANTS}
     for doc in sorted(docs, key=lambda d: d.id):
         summary = by_doc.get(doc.id)
         if summary is None:
@@ -143,8 +138,8 @@ def _rouge_block(
         refs = references.get(doc.id)
         if not refs:
             raise CliError(f"no reference available for document {doc.id!r}")
-        for variant, cfg in configs.items():
-            per_variant[variant].append(cfg.score(summary.tokens, refs))
+        for variant, score in rouge.score_variants(summary.tokens, refs, multi_ref).items():
+            per_variant[variant].append(score)
     return {
         variant: {
             "precision": mean.precision,

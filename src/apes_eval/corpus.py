@@ -342,6 +342,29 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+# Field checks for parse_document; `type(x) is int` also turns away booleans.
+_SPAN_TYPES = [int, int, int]
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_entity(value) -> bool:
+    return (
+        isinstance(value, dict)
+        and type(value.get("id")) is int
+        and _is_str_list(value.get("surfaces"))
+    )
+
+
+def _is_span_list(value) -> bool:
+    """A list of [entity id, start, end] int triples."""
+    return isinstance(value, list) and all(
+        type(span) is list and list(map(type, span)) == _SPAN_TYPES for span in value
+    )
+
+
 def parse_document(obj: dict, *, where: str = "document") -> Document:
     try:
         doc_id = obj["id"]
@@ -351,8 +374,10 @@ def parse_document(obj: dict, *, where: str = "document") -> Document:
         raise CorpusError(f"{where}: missing key {exc}") from exc
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError(f"{where}: id must be a non-empty string")
-    if isinstance(highlight_texts, str):
-        raise CorpusError(f"{where}: highlights must be a list of strings, not a string")
+    if not isinstance(source_text, str):
+        raise CorpusError(f"{where}: source must be a string")
+    if not _is_str_list(highlight_texts):
+        raise CorpusError(f"{where}: highlights must be a list of strings")
 
     source = tuple(tokenize(source_text))
     if not source:
@@ -365,32 +390,44 @@ def parse_document(obj: dict, *, where: str = "document") -> Document:
         table = build_entity_table(source, highlights)
         return Document(doc_id, source, highlights, table)
 
+    raw_entities = obj["entities"]
+    if not isinstance(raw_entities, list) or not all(map(_is_entity, raw_entities)):
+        raise CorpusError(
+            f"{where}: entities must be a list of objects, each with an int 'id' "
+            "and a list of string 'surfaces'"
+        )
     entities = []
-    for ent in sorted(obj["entities"], key=lambda e: e["id"]):
+    for ent in sorted(raw_entities, key=lambda e: e["id"]):
         surfaces = tuple(tuple(tokenize(s)) for s in ent["surfaces"])
         if not surfaces or any(not s for s in surfaces):
             raise CorpusError(f"{where}: entity {ent['id']} needs non-empty surfaces")
-        entities.append(Entity(int(ent["id"]), surfaces))
+        entities.append(Entity(ent["id"], surfaces))
 
     doc = Document(doc_id, source, highlights, EntityTable(entities, {}))
     streams = doc.streams()
     mentions: dict[str, list[Mention]] = {}
     if "mentions" in obj:
+        if not isinstance(obj["mentions"], dict):
+            raise CorpusError(f"{where}: mentions must be an object keyed by stream")
         for stream, spans in obj["mentions"].items():
             if stream not in streams:
                 raise CorpusError(f"{where}: unknown stream {stream!r}")
+            if not _is_span_list(spans):
+                raise CorpusError(
+                    f"{where}: mentions of {stream!r} must be [entity, start, end] int triples"
+                )
             tokens = streams[stream]
-            mentions[stream] = [
-                Mention(int(eid), int(s), int(e), tuple(tokens[int(s) : int(e)]))
-                for eid, s, e in spans
-            ]
+            mentions[stream] = [Mention(eid, s, e, tuple(tokens[s:e])) for eid, s, e in spans]
     else:
         table_for_matching = EntityTable(entities, {})
         for stream, tokens in streams.items():
             mentions[stream] = find_mentions(tokens, table_for_matching)
 
     table = EntityTable(entities, mentions)
-    table.validate(streams)
+    try:
+        table.validate(streams)
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
     return Document(doc_id, source, highlights, table)
 
 
@@ -441,8 +478,12 @@ def load_summaries(path: str) -> list[SystemSummary]:
         if "doc_id" not in obj:
             raise CorpusError(f"{path}:{lineno}: missing key 'doc_id'")
         if "tokens" in obj:
-            tokens = tuple(str(t) for t in obj["tokens"])
+            if not _is_str_list(obj["tokens"]):
+                raise CorpusError(f"{path}:{lineno}: tokens must be a list of strings")
+            tokens = tuple(obj["tokens"])
         elif "text" in obj:
+            if not isinstance(obj["text"], str):
+                raise CorpusError(f"{path}:{lineno}: text must be a string")
             tokens = tuple(tokenize(obj["text"]))
         else:
             raise CorpusError(f"{path}:{lineno}: need 'text' or 'tokens'")

@@ -106,7 +106,7 @@ def run_external_reader(
     ({"qid", "question", "context", "candidates"}); the child must print
     one {"qid", "answer"} object per line. The join is by qid, so output
     order is free. Missing qids score as unanswered with a warning;
-    malformed output or a nonzero exit aborts the run.
+    malformed output, a qid answered twice or a nonzero exit aborts the run.
     """
     payload = "".join(
         json.dumps(request_to_json(r), ensure_ascii=False) + "\n" for r in requests
@@ -135,7 +135,12 @@ def run_external_reader(
             raise ReaderProtocolError(
                 f"external reader output line {lineno} is malformed: {exc}"
             ) from exc
-        by_qid[str(qid)] = None if answer is None else str(answer)
+        qid = str(qid)
+        if qid in by_qid:
+            raise ReaderProtocolError(
+                f"external reader output line {lineno} answers qid {qid} a second time"
+            )
+        by_qid[qid] = None if answer is None else str(answer)
 
     known = {r.qid for r in requests}
     unknown = set(by_qid) - known

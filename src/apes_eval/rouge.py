@@ -2,13 +2,21 @@
 
 Scores are computed on lowercased tokens with no stemming or stopword
 removal, so results are reproducible bit-for-bit across platforms.
+
+Each text is prepared once (:func:`prepare`): it is lowercased a single
+time, and its n-gram and skip-bigram multisets and its LCS bit masks are
+built on first use and kept, so scoring one candidate against several
+references with several variants counts each side once. ROUGE-L's longest
+common subsequence is computed bit-parallel (Allison & Dix 1986; Hyyrö
+2004): one step over a reference token updates a whole row of the DP
+table held in a Python int.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 TokenSeq = Sequence[str]
 
@@ -35,25 +43,72 @@ def _from_counts(overlap: int, n_candidate: int, n_reference: int) -> RougeScore
     return RougeScore(precision, recall, f1)
 
 
-def _lower(tokens: TokenSeq) -> list[str]:
-    return [t.lower() for t in tokens]
+def _bit_masks(tokens: TokenSeq) -> dict[str, int]:
+    """Token -> int with bit i set wherever tokens[i] is that token."""
+    masks: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        masks[tok] = masks.get(tok, 0) | (1 << i)
+    return masks
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+class Prepared:
+    """A text lowercased once; its ROUGE units are built on first use and kept."""
+
+    __slots__ = ("tokens", "_ngrams", "_su_units", "_masks")
+
+    def __init__(self, tokens: TokenSeq) -> None:
+        self.tokens = tuple(t.lower() for t in tokens)
+        self._ngrams: dict[int, Counter] = {}
+        self._su_units: dict[int, Counter] = {}
+        self._masks: dict[str, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def ngrams(self, n: int) -> Counter:
+        """Multiset of the n-grams, as tuples; it holds max(len - n + 1, 0) of them."""
+        counts = self._ngrams.get(n)
+        if counts is None:
+            t = self.tokens
+            counts = self._ngrams[n] = Counter(zip(*(t[i:] for i in range(n))))
+        return counts
+
+    def su_units(self, skip: int) -> Counter:
+        """Unigrams plus skip-bigrams (t_i, t_j) with i < j <= i + skip, as one multiset."""
+        units = self._su_units.get(skip)
+        if units is None:
+            t = self.tokens
+            units = Counter(t)
+            for k in range(1, skip + 1):
+                units.update(zip(t, t[k:]))
+            self._su_units[skip] = units
+        return units
+
+    def masks(self) -> dict[str, int]:
+        """Token -> bit mask of its positions, for the bit-parallel LCS."""
+        if self._masks is None:
+            self._masks = _bit_masks(self.tokens)
+        return self._masks
 
 
-def _su_unit_counts(tokens: list[str], skip: int) -> Counter:
-    """Unigrams plus skip-bigrams (t_i, t_j) with i < j <= i + skip, as one multiset."""
-    units: Counter = Counter(tokens)
-    for i in range(len(tokens)):
-        for j in range(i + 1, min(i + skip, len(tokens) - 1) + 1):
-            units[(tokens[i], tokens[j])] += 1
-    return units
+Text = Union[TokenSeq, Prepared]
+
+
+def prepare(tokens: Text) -> Prepared:
+    """The prepared form of a text; a prepared text is returned as is."""
+    return tokens if isinstance(tokens, Prepared) else Prepared(tokens)
+
+
+def _ngram_total(length: int, n: int) -> int:
+    return max(length - n + 1, 0)
+
+
+def _su_total(length: int, skip: int) -> int:
+    return length + sum(max(length - k, 0) for k in range(1, skip + 1))
 
 
 def _clipped_overlap(a: Counter, b: Counter) -> int:
-    return sum((a & b).values())
+    return sum(min(a[k], b[k]) for k in a.keys() & b.keys())
 
 
 def _combine(scores: list[RougeScore], multi_ref: str) -> RougeScore:
@@ -79,14 +134,14 @@ def mean_scores(scores: Sequence[RougeScore]) -> RougeScore:
     )
 
 
-def _check_references(references: Sequence[TokenSeq]) -> None:
+def _check_references(references: Sequence[Text]) -> None:
     if not references:
         raise ValueError("at least one reference is required")
 
 
 def rouge_n(
-    candidate: TokenSeq,
-    references: Sequence[TokenSeq],
+    candidate: Text,
+    references: Sequence[Text],
     n: int = 1,
     multi_ref: str = "max",
 ) -> RougeScore:
@@ -94,50 +149,56 @@ def rouge_n(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_references(references)
-    cand = _ngram_counts(_lower(candidate), n)
-    n_cand = sum(cand.values())
+    cand = prepare(candidate)
+    cand_counts = cand.ngrams(n)
+    n_cand = _ngram_total(len(cand), n)
     scores = []
-    for ref in references:
-        refc = _ngram_counts(_lower(ref), n)
-        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
+    for ref in map(prepare, references):
+        overlap = _clipped_overlap(cand_counts, ref.ngrams(n))
+        scores.append(_from_counts(overlap, n_cand, _ngram_total(len(ref), n)))
     return _combine(scores, multi_ref)
 
 
+def _lcs(masks: dict[str, int], length: int, other: TokenSeq) -> int:
+    """LCS length of the `length` tokens behind `masks` and `other` (Hyyrö 2004).
+
+    v encodes the current DP row by its steps: bit i is cleared where
+    row[i + 1] = row[i] + 1, so the LCS is the number of cleared bits.
+    """
+    full = (1 << length) - 1
+    v = full
+    for tok in other:
+        m = masks.get(tok)
+        if m:
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+    return length - v.bit_count()
+
+
 def lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b):
-            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
-        prev = cur
-    return prev[-1]
+    """Longest common subsequence length, compared token for token."""
+    return _lcs(_bit_masks(a), len(a), b)
 
 
 def rouge_l(
-    candidate: TokenSeq,
-    references: Sequence[TokenSeq],
+    candidate: Text,
+    references: Sequence[Text],
     multi_ref: str = "max",
 ) -> RougeScore:
     """LCS-based score: P = lcs/|candidate|, R = lcs/|reference|."""
     _check_references(references)
-    cand = _lower(candidate)
+    cand = prepare(candidate)
+    masks = cand.masks()
     scores = []
-    for ref in references:
-        ref_l = _lower(ref)
-        if not cand or not ref_l:
-            scores.append(ZERO_SCORE)
-            continue
-        ell = lcs_length(cand, ref_l)
-        scores.append(_from_counts(ell, len(cand), len(ref_l)))
+    for ref in map(prepare, references):
+        ell = _lcs(masks, len(cand), ref.tokens)
+        scores.append(_from_counts(ell, len(cand), len(ref)))
     return _combine(scores, multi_ref)
 
 
 def rouge_su(
-    candidate: TokenSeq,
-    references: Sequence[TokenSeq],
+    candidate: Text,
+    references: Sequence[Text],
     skip: int = 4,
     multi_ref: str = "max",
 ) -> RougeScore:
@@ -145,12 +206,13 @@ def rouge_su(
     if skip < 1:
         raise ValueError("skip must be >= 1")
     _check_references(references)
-    cand = _su_unit_counts(_lower(candidate), skip)
-    n_cand = sum(cand.values())
+    cand = prepare(candidate)
+    cand_units = cand.su_units(skip)
+    n_cand = _su_total(len(cand), skip)
     scores = []
-    for ref in references:
-        refc = _su_unit_counts(_lower(ref), skip)
-        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
+    for ref in map(prepare, references):
+        overlap = _clipped_overlap(cand_units, ref.su_units(skip))
+        scores.append(_from_counts(overlap, n_cand, _su_total(len(ref), skip)))
     return _combine(scores, multi_ref)
 
 
@@ -171,7 +233,7 @@ class RougeConfig:
         if self.multi_ref not in MULTI_REF_STRATEGIES:
             raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
 
-    def score(self, candidate: TokenSeq, references: Sequence[TokenSeq]) -> RougeScore:
+    def score(self, candidate: Text, references: Sequence[Text]) -> RougeScore:
         if self.variant == "n":
             return rouge_n(candidate, references, self.n, self.multi_ref)
         if self.variant == "l":
@@ -186,3 +248,21 @@ REPORT_VARIANTS: dict[str, RougeConfig] = {
     "rl": RougeConfig("l"),
     "rsu4": RougeConfig("su", skip=4),
 }
+
+# REPORT_VARIANTS under each multi-reference strategy, built once because
+# score_variants runs once per document.
+_VARIANTS_BY_STRATEGY = {
+    strategy: {name: replace(cfg, multi_ref=strategy) for name, cfg in REPORT_VARIANTS.items()}
+    for strategy in MULTI_REF_STRATEGIES
+}
+
+
+def score_variants(
+    candidate: Text, references: Sequence[Text], multi_ref: str = "max"
+) -> dict[str, RougeScore]:
+    """Every REPORT_VARIANTS score of one candidate, each text prepared once."""
+    if multi_ref not in _VARIANTS_BY_STRATEGY:
+        raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
+    cand = prepare(candidate)
+    refs = [prepare(r) for r in references]
+    return {name: cfg.score(cand, refs) for name, cfg in _VARIANTS_BY_STRATEGY[multi_ref].items()}

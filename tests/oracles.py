@@ -1,17 +1,31 @@
 """Independent brute-force references the fast implementations are checked
-against. Deliberately naive: list scans, explicit enumeration, O(2^n) where
-that is the simplest correct thing.
+against. Deliberately naive: list scans, explicit enumeration, the
+quadratic LCS table, O(2^n) where that is the simplest correct thing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from typing import Sequence
 
 
 def ngram_list(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def su_unit_counts(tokens: Sequence[str], skip: int) -> Counter:
+    """Unigrams plus skip-bigrams (t_i, t_j) with i < j <= i + skip, as one multiset."""
+    units: Counter = Counter(tokens)
+    for i in range(len(tokens)):
+        for j in range(i + 1, min(i + skip, len(tokens) - 1) + 1):
+            units[(tokens[i], tokens[j])] += 1
+    return units
 
 
 def greedy_multiset_overlap(a: list, b: list) -> int:
@@ -41,6 +55,19 @@ def brute_rouge_n(cand: Sequence[str], ref: Sequence[str], n: int):
 def is_subsequence(needle: Sequence[str], hay: Sequence[str]) -> bool:
     it = iter(hay)
     return all(tok in it for tok in needle)
+
+
+def dp_lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Longest common subsequence length by the quadratic dynamic program."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b):
+            cur.append(prev[j] + 1 if x == y else max(prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
 
 
 def brute_lcs(a: Sequence[str], b: Sequence[str]) -> int:

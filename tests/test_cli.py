@@ -5,6 +5,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from apes_eval import apes, cli, qgen, synth
 from apes_eval.cli import dumps_report, main
 from apes_eval.corpus import document_to_json
@@ -96,6 +98,45 @@ class TestQgen:
         err = capsys.readouterr().err
         assert "corpus.jsonl:2" in err
         assert "highlights" in err
+
+
+class TestInputBoundary:
+    """Each malformed field exits 1 with the offending path:line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"source": 5},
+            {"highlights": [5]},
+            {"entities": [1]},
+            {"entities": [{"id": "0", "surfaces": ["Kelar"]}]},
+            {"entities": [{"id": 0, "surfaces": "Kelar"}]},
+            {"entities": [{"id": 0, "surfaces": ["Kelar"]}], "mentions": {"source": 5}},
+            {"entities": [{"id": 0, "surfaces": ["Kelar"]}], "mentions": {"source": [[0, 9, 10]]}},
+        ],
+    )
+    def test_corpus_field_exit_one(self, tmp_path, capsys, field):
+        bad = dict({"id": "s", "source": "Kelar spoke .", "highlights": ["Kelar spoke ."]}, **field)
+        corpus_path = write_jsonl(tmp_path / "corpus.jsonl", [FIG_DOC, bad])
+        rc = main(["qgen", "--corpus", corpus_path, "--out", str(tmp_path / "q.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "corpus.jsonl:2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", [{"tokens": 5}, {"tokens": ["a", 5]}, {"text": 5}])
+    def test_summary_field_exit_one(self, tmp_path, capsys, field):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        rows = [json.loads(l) for l in open(sys_path)]
+        rows[1] = {"doc_id": rows[1]["doc_id"], **field}
+        bad_sys = write_jsonl(tmp_path / "bad.jsonl", rows)
+        argv = ["evaluate", "--corpus", corpus_path, "--sys", bad_sys,
+                "--questions", questions_path, "--out", str(tmp_path / "r.json")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "bad.jsonl:2" in err
+        assert "Traceback" not in err
 
 
 class TestEvaluate:
@@ -244,6 +285,37 @@ class TestEvaluate:
         )
         assert rc == 0
         assert json.loads(out.read_text())["apes"]["overall"] == 1.0
+
+    def test_external_reader_answering_twice_exits_one(self, tmp_path, capsys):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        stub = tmp_path / "twice_stub.py"
+        stub.write_text(
+            textwrap.dedent(
+                """
+                import json, sys
+                for i, line in enumerate(sys.stdin):
+                    req = json.loads(line)
+                    print(json.dumps({"qid": req["qid"], "answer": None}))
+                    if i == 0:
+                        print(json.dumps({"qid": req["qid"], "answer": req["candidates"][0]}))
+                """
+            )
+        )
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--sys", sys_path,
+                "--questions", questions_path,
+                "--reader", "external",
+                "--reader-cmd", f"{sys.executable} {stub}",
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "a second time" in err and "line 2" in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_external_requires_command(self, tmp_path, capsys):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)

@@ -209,6 +209,19 @@ class TestExternalReader:
         assert answers[0].answer is None
         assert "candidate set" in caplog.text
 
+    def test_qid_answered_twice_aborts(self, tmp_path):
+        body = textwrap.dedent(
+            """
+            import json, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({"qid": req["qid"], "answer": req["candidates"][0]}))
+            print(json.dumps({"qid": req["qid"], "answer": req["candidates"][1]}))
+            """
+        )
+        with pytest.raises(ReaderProtocolError, match="line 4 answers qid d:2:0 a second time"):
+            run_external_reader(_requests(3), _stub(tmp_path, body))
+
     def test_wire_format_excludes_gold(self):
         req = _requests(1)[0]
         wire = request_to_json(req)

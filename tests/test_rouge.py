@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,42 @@ from apes_eval.rouge import (
     RougeScore,
     lcs_length,
     mean_scores,
+    prepare,
     rouge_l,
     rouge_n,
     rouge_su,
+    score_variants,
 )
-from oracles import brute_rouge_l, brute_rouge_n, brute_rouge_su
+from oracles import (
+    brute_rouge_l,
+    brute_rouge_n,
+    brute_rouge_su,
+    dp_lcs_length,
+    ngram_counts,
+    prf,
+    su_unit_counts,
+    su_unit_list,
+)
 
 tokens_st = st.lists(st.sampled_from("a b c d e f".split()), min_size=1, max_size=12)
+
+
+def mixed_case_vocab(size):
+    """`size` words, each also spelt capitalised and in capitals."""
+    words = [f"w{i}" for i in range(size)]
+    return words + [w.capitalize() for w in words] + [w.upper() for w in words]
+
+
+def long_tokens(size, max_size=300):
+    return st.lists(st.sampled_from(mixed_case_vocab(size)), max_size=max_size)
+
+
+# Pairs of up to 300 tokens over 2-, 6- and 40-word alphabets: long enough to
+# cross 64- and 128-bit words, small and large alphabets for dense and sparse
+# match masks.
+long_pair_st = st.sampled_from([2, 6, 40]).flatmap(
+    lambda size: st.tuples(long_tokens(size), long_tokens(size))
+)
 
 
 class TestRougeN:
@@ -155,6 +186,90 @@ def test_brute_force_agreement_200_pairs():
         assert (got.precision, got.recall, got.f1) == brute_rouge_l(cand, ref)
         got = rouge_su(cand, [ref], skip=4)
         assert (got.precision, got.recall, got.f1) == brute_rouge_su(cand, ref, 4)
+
+
+class TestPrepared:
+    @settings(max_examples=150, deadline=None)
+    @given(long_pair_st)
+    def test_lcs_equals_dp_oracle(self, pair):
+        a, b = pair
+        assert lcs_length(a, b) == dp_lcs_length(a, b)
+
+    @pytest.mark.parametrize("length", [63, 64, 65, 127, 128, 129, 300])
+    def test_lcs_across_word_sizes(self, length):
+        rng = random.Random(length)
+        for size in (2, 6, 40):
+            a = [rng.choice(mixed_case_vocab(size)) for _ in range(length)]
+            b = [rng.choice(mixed_case_vocab(size)) for _ in range(rng.randint(0, 300))]
+            assert lcs_length(a, b) == dp_lcs_length(a, b)
+            assert lcs_length(b, a) == dp_lcs_length(a, b)
+
+    def test_lcs_compares_raw_tokens(self):
+        assert lcs_length(["The", "cat"], ["the", "cat"]) == 1
+        assert rouge_l(["The", "cat"], [["the", "cat"]]).f1 == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pair_st, st.integers(0, 3), st.sampled_from(["max", "average"]))
+    def test_prepared_scores_equal_raw(self, pair, extra_refs, multi_ref):
+        cand, ref = pair
+        refs = [ref] + [list(reversed(ref[: 50 * k])) for k in range(1, extra_refs + 1)]
+        raw = {
+            name: dataclasses.replace(cfg, multi_ref=multi_ref).score(cand, refs)
+            for name, cfg in REPORT_VARIANTS.items()
+        }
+        prepared = [prepare(r) for r in refs]
+        for name, cfg in REPORT_VARIANTS.items():
+            cfg = dataclasses.replace(cfg, multi_ref=multi_ref)
+            assert cfg.score(prepare(cand), prepared) == raw[name]
+            assert cfg.score(cand, prepared) == raw[name]
+            assert cfg.score(prepare(cand), refs) == raw[name]
+        assert score_variants(cand, refs, multi_ref) == raw
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pair_st)
+    def test_scores_equal_oracle_counts(self, pair):
+        cand, ref = pair
+        a, b = [t.lower() for t in cand], [t.lower() for t in ref]
+
+        def oracle_overlap(x, y):
+            return sum((x & y).values())
+
+        for n in (1, 2, 3):
+            got = rouge_n(cand, [ref], n)
+            ca, cb = ngram_counts(a, n), ngram_counts(b, n)
+            want = prf(oracle_overlap(ca, cb), sum(ca.values()), sum(cb.values()))
+            assert (got.precision, got.recall, got.f1) == want
+        for skip in (1, 4):
+            got = rouge_su(cand, [ref], skip)
+            ua, ub = su_unit_counts(a, skip), su_unit_counts(b, skip)
+            want = prf(oracle_overlap(ua, ub), sum(ua.values()), sum(ub.values()))
+            assert (got.precision, got.recall, got.f1) == want
+        got = rouge_l(cand, [ref])
+        want = prf(dp_lcs_length(a, b), len(a), len(b)) if a and b else (0.0, 0.0, 0.0)
+        assert (got.precision, got.recall, got.f1) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_tokens(6, max_size=40), st.integers(1, 6))
+    def test_units_equal_oracle_builders(self, tokens, skip):
+        lowered = [t.lower() for t in tokens]
+        text = prepare(tokens)
+        assert text.su_units(4) == Counter(su_unit_list(lowered, 4))
+        assert text.su_units(skip) == su_unit_counts(lowered, skip)
+        for n in (1, 2, 3):
+            assert text.ngrams(n) == ngram_counts(lowered, n)
+        assert len(text) == len(tokens)
+
+    def test_prepare_is_idempotent_and_caches(self):
+        text = prepare(["The", "cat", "the", "mat"])
+        assert prepare(text) is text
+        assert text.tokens == ("the", "cat", "the", "mat")
+        assert text.ngrams(1) is text.ngrams(1)
+        assert text.su_units(4) is text.su_units(4)
+        assert text.masks() == {"the": 0b0101, "cat": 0b0010, "mat": 0b1000}
+
+    def test_score_variants_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            score_variants(["a"], [["a"]], multi_ref="median")
 
 
 def test_mean_scores():
