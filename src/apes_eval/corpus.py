@@ -343,9 +343,6 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
 
 
 # Field checks for parse_document; `type(x) is int` also turns away booleans.
-_SPAN_TYPES = [int, int, int]
-
-
 def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
@@ -361,7 +358,8 @@ def _is_entity(value) -> bool:
 def _is_span_list(value) -> bool:
     """A list of [entity id, start, end] int triples."""
     return isinstance(value, list) and all(
-        type(span) is list and list(map(type, span)) == _SPAN_TYPES for span in value
+        type(span) is list and len(span) == 3 and all(type(x) is int for x in span)
+        for span in value
     )
 
 

@@ -4,12 +4,10 @@ Scores are computed on lowercased tokens with no stemming or stopword
 removal, so results are reproducible bit-for-bit across platforms.
 
 Each text is prepared once (:func:`prepare`): it is lowercased a single
-time, and its n-gram and skip-bigram multisets and its LCS bit masks are
-built on first use and kept, so scoring one candidate against several
-references with several variants counts each side once. ROUGE-L's longest
-common subsequence is computed bit-parallel (Allison & Dix 1986; Hyyrö
-2004): one step over a reference token updates a whole row of the DP
-table held in a Python int.
+time, and :func:`score_variants` hands the prepared texts to every
+reported variant. ROUGE-L's longest common subsequence is computed
+bit-parallel (Allison & Dix 1986; Hyyrö 2004): one step over a reference
+token updates a whole row of the DP table held in a Python int.
 """
 
 from __future__ import annotations
@@ -43,6 +41,18 @@ def _from_counts(overlap: int, n_candidate: int, n_reference: int) -> RougeScore
     return RougeScore(precision, recall, f1)
 
 
+def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _su_unit_counts(tokens: tuple[str, ...], skip: int) -> Counter:
+    """Unigrams plus skip-bigrams (t_i, t_j) with i < j <= i + skip, as one multiset."""
+    units = Counter(tokens)
+    for k in range(1, skip + 1):
+        units.update(zip(tokens, tokens[k:]))
+    return units
+
+
 def _bit_masks(tokens: TokenSeq) -> dict[str, int]:
     """Token -> int with bit i set wherever tokens[i] is that token."""
     masks: dict[str, int] = {}
@@ -52,43 +62,15 @@ def _bit_masks(tokens: TokenSeq) -> dict[str, int]:
 
 
 class Prepared:
-    """A text lowercased once; its ROUGE units are built on first use and kept."""
+    """A text lowercased once, so every variant that scores it shares the work."""
 
-    __slots__ = ("tokens", "_ngrams", "_su_units", "_masks")
+    __slots__ = ("tokens",)
 
     def __init__(self, tokens: TokenSeq) -> None:
         self.tokens = tuple(t.lower() for t in tokens)
-        self._ngrams: dict[int, Counter] = {}
-        self._su_units: dict[int, Counter] = {}
-        self._masks: dict[str, int] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def ngrams(self, n: int) -> Counter:
-        """Multiset of the n-grams, as tuples; it holds max(len - n + 1, 0) of them."""
-        counts = self._ngrams.get(n)
-        if counts is None:
-            t = self.tokens
-            counts = self._ngrams[n] = Counter(zip(*(t[i:] for i in range(n))))
-        return counts
-
-    def su_units(self, skip: int) -> Counter:
-        """Unigrams plus skip-bigrams (t_i, t_j) with i < j <= i + skip, as one multiset."""
-        units = self._su_units.get(skip)
-        if units is None:
-            t = self.tokens
-            units = Counter(t)
-            for k in range(1, skip + 1):
-                units.update(zip(t, t[k:]))
-            self._su_units[skip] = units
-        return units
-
-    def masks(self) -> dict[str, int]:
-        """Token -> bit mask of its positions, for the bit-parallel LCS."""
-        if self._masks is None:
-            self._masks = _bit_masks(self.tokens)
-        return self._masks
 
 
 Text = Union[TokenSeq, Prepared]
@@ -97,14 +79,6 @@ Text = Union[TokenSeq, Prepared]
 def prepare(tokens: Text) -> Prepared:
     """The prepared form of a text; a prepared text is returned as is."""
     return tokens if isinstance(tokens, Prepared) else Prepared(tokens)
-
-
-def _ngram_total(length: int, n: int) -> int:
-    return max(length - n + 1, 0)
-
-
-def _su_total(length: int, skip: int) -> int:
-    return length + sum(max(length - k, 0) for k in range(1, skip + 1))
 
 
 def _clipped_overlap(a: Counter, b: Counter) -> int:
@@ -149,13 +123,12 @@ def rouge_n(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_references(references)
-    cand = prepare(candidate)
-    cand_counts = cand.ngrams(n)
-    n_cand = _ngram_total(len(cand), n)
+    cand = _ngram_counts(prepare(candidate).tokens, n)
+    n_cand = sum(cand.values())
     scores = []
-    for ref in map(prepare, references):
-        overlap = _clipped_overlap(cand_counts, ref.ngrams(n))
-        scores.append(_from_counts(overlap, n_cand, _ngram_total(len(ref), n)))
+    for ref in references:
+        refc = _ngram_counts(prepare(ref).tokens, n)
+        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
     return _combine(scores, multi_ref)
 
 
@@ -187,12 +160,13 @@ def rouge_l(
 ) -> RougeScore:
     """LCS-based score: P = lcs/|candidate|, R = lcs/|reference|."""
     _check_references(references)
-    cand = prepare(candidate)
-    masks = cand.masks()
+    cand = prepare(candidate).tokens
+    masks = _bit_masks(cand)
     scores = []
-    for ref in map(prepare, references):
-        ell = _lcs(masks, len(cand), ref.tokens)
-        scores.append(_from_counts(ell, len(cand), len(ref)))
+    for ref in references:
+        ref_tokens = prepare(ref).tokens
+        ell = _lcs(masks, len(cand), ref_tokens)
+        scores.append(_from_counts(ell, len(cand), len(ref_tokens)))
     return _combine(scores, multi_ref)
 
 
@@ -206,13 +180,12 @@ def rouge_su(
     if skip < 1:
         raise ValueError("skip must be >= 1")
     _check_references(references)
-    cand = prepare(candidate)
-    cand_units = cand.su_units(skip)
-    n_cand = _su_total(len(cand), skip)
+    cand = _su_unit_counts(prepare(candidate).tokens, skip)
+    n_cand = sum(cand.values())
     scores = []
-    for ref in map(prepare, references):
-        overlap = _clipped_overlap(cand_units, ref.su_units(skip))
-        scores.append(_from_counts(overlap, n_cand, _su_total(len(ref), skip)))
+    for ref in references:
+        refc = _su_unit_counts(prepare(ref).tokens, skip)
+        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
     return _combine(scores, multi_ref)
 
 
@@ -249,20 +222,13 @@ REPORT_VARIANTS: dict[str, RougeConfig] = {
     "rsu4": RougeConfig("su", skip=4),
 }
 
-# REPORT_VARIANTS under each multi-reference strategy, built once because
-# score_variants runs once per document.
-_VARIANTS_BY_STRATEGY = {
-    strategy: {name: replace(cfg, multi_ref=strategy) for name, cfg in REPORT_VARIANTS.items()}
-    for strategy in MULTI_REF_STRATEGIES
-}
-
-
 def score_variants(
     candidate: Text, references: Sequence[Text], multi_ref: str = "max"
 ) -> dict[str, RougeScore]:
-    """Every REPORT_VARIANTS score of one candidate, each text prepared once."""
-    if multi_ref not in _VARIANTS_BY_STRATEGY:
-        raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
+    """Every REPORT_VARIANTS score of one candidate, each text lowercased once."""
     cand = prepare(candidate)
     refs = [prepare(r) for r in references]
-    return {name: cfg.score(cand, refs) for name, cfg in _VARIANTS_BY_STRATEGY[multi_ref].items()}
+    return {
+        name: replace(cfg, multi_ref=multi_ref).score(cand, refs)
+        for name, cfg in REPORT_VARIANTS.items()
+    }
