@@ -8,7 +8,9 @@ Forward pass per source position j, with encoder state h_j:
 The saliency loss is the mean binary cross entropy of prob against the
 binary targets; the hybrid loss mixes it with the step-wise NLL. Analytic
 gradients are verified against central finite differences. Everything is
-float64.
+float64. The forward pass and the BCE are written once, unchecked
+(`_forward`, `_bce`); each public function checks its inputs once, then
+calls them, and the gradient check differentiates that same loss.
 """
 
 from __future__ import annotations
@@ -61,14 +63,31 @@ def _check_targets(targets: Sequence[float], t_x: int) -> np.ndarray:
     return targets
 
 
+def _forward(
+    states: np.ndarray, u: np.ndarray, b: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unchecked forward pass: (tanh preactivation, scores, probabilities)."""
+    pre = np.tanh(states @ u.T + b)  # (t_x, d_align)
+    scores = pre @ v
+    probs = 1.0 / (1.0 + np.exp(-scores))
+    return pre, scores, probs
+
+
+def _bce(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean BCE against checked targets; probs must be non-empty and in (0, 1)."""
+    if probs.size == 0:
+        raise ValueError("probs must be a non-empty vector")
+    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        raise ValueError("probabilities must lie strictly in (0, 1)")
+    terms = -(targets * np.log(probs) + (1.0 - targets) * np.log(1.0 - probs))
+    return float(terms.mean())
+
+
 def entity_attention_forward(
     states: np.ndarray, params: AttentionParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-position scores and sigmoid saliency probabilities."""
-    states = _check_states(states, params)
-    pre = np.tanh(states @ params.u.T + params.b)  # (t_x, d_align)
-    scores = pre @ params.v
-    probs = 1.0 / (1.0 + np.exp(-scores))
+    _, scores, probs = _forward(_check_states(states, params), params.u, params.b, params.v)
     return scores, probs
 
 
@@ -77,11 +96,7 @@ def bce_loss(probs: Sequence[float], targets: Sequence[float]) -> float:
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError("probs must be a non-empty vector")
-    targets = _check_targets(targets, probs.shape[0])
-    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
-        raise ValueError("probabilities must lie strictly in (0, 1)")
-    terms = -(targets * np.log(probs) + (1.0 - targets) * np.log(1.0 - probs))
-    return float(terms.mean())
+    return _bce(probs, _check_targets(targets, probs.shape[0]))
 
 
 def nll_loss(step_probs: Sequence[float]) -> float:
@@ -108,7 +123,7 @@ def saliency_bce(
 ) -> float:
     """Forward pass followed by the BCE loss; the quantity the gradients differentiate."""
     _, probs = entity_attention_forward(states, params)
-    return bce_loss(probs, _check_targets(targets, probs.shape[0]))
+    return bce_loss(probs, targets)
 
 
 @dataclass(frozen=True)
@@ -129,9 +144,7 @@ def attention_gradients(
     """
     states = _check_states(states, params)
     targets = _check_targets(targets, states.shape[0])
-    pre = np.tanh(states @ params.u.T + params.b)  # (t_x, d_align)
-    scores = pre @ params.v
-    probs = 1.0 / (1.0 + np.exp(-scores))
+    pre, _, probs = _forward(states, params.u, params.b, params.v)
 
     dscore = (probs - targets) / states.shape[0]  # (t_x,)
     dv = pre.T @ dscore
@@ -187,28 +200,16 @@ def finite_difference_check(
     states = _check_states(states, params).copy()
     targets = _check_targets(targets, states.shape[0])
     analytic = attention_gradients(states, params, targets)
-
+    if not np.isfinite(step):
+        raise ValueError("step must be finite")  # the loss does not re-check perturbed u, b, v
     u, b, v = params.u.copy(), params.b.copy(), params.v.copy()
 
-    errors = [
-        _relative_error(
-            analytic.u,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(a, b, v), targets), u, step),
-        ),
-        _relative_error(
-            analytic.b,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(u, a, v), targets), b, step),
-        ),
-        _relative_error(
-            analytic.v,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(u, b, a), targets), v, step),
-        ),
-        _relative_error(
-            analytic.states,
-            central_difference(lambda a: saliency_bce(a, params, targets), states, step),
-        ),
-    ]
-    return max(errors)
+    def loss(_: np.ndarray) -> float:
+        # central_difference perturbs u, b, v and states in place
+        return _bce(_forward(states, u, b, v)[2], targets)
+
+    pairs = ((analytic.u, u), (analytic.b, b), (analytic.v, v), (analytic.states, states))
+    return max(_relative_error(g, central_difference(loss, a, step)) for g, a in pairs)
 
 
 def random_instance(

@@ -94,11 +94,8 @@ def final_score(hyp: Hypothesis, cfg: PenaltyConfig) -> float:
         raise ValueError("final_score applies to finished hypotheses only")
     if cfg.gamma > 0 and cfg.saliency is None:
         raise ValueError("gamma > 0 requires a saliency vector")
-    score = hyp.logp / length_penalty(len(hyp.tokens), cfg.alpha)
-    score -= coverage_penalty(hyp.coverage, cfg.beta)
-    if cfg.gamma > 0:
-        score -= entity_penalty(hyp.coverage, cfg.saliency, cfg.gamma)
-    return score
+    parts = score_breakdown(hyp, cfg)
+    return parts["logp"] / parts["lp"] - parts["cp"] - parts["ep"]
 
 
 def score_breakdown(hyp: Hypothesis, cfg: PenaltyConfig) -> dict[str, float]:
@@ -129,7 +126,8 @@ class TableModel:
         steps: Mapping[tuple[str, ...], tuple[Mapping[str, float], Sequence[float]]],
         saliency: Sequence[float] | None = None,
     ) -> None:
-        if len(set(vocab)) != len(vocab):
+        known = set(vocab)
+        if len(known) != len(vocab):
             raise ModelError("vocabulary contains duplicates")
         if eos not in vocab:
             raise ModelError("eos token must be in the vocabulary")
@@ -150,9 +148,9 @@ class TableModel:
         self._steps: dict[tuple[str, ...], tuple[dict[str, float], np.ndarray]] = {}
         for prefix, (logps, attn) in steps.items():
             for tok in prefix:
-                if tok not in set(self.vocab):
+                if tok not in known:
                     raise ModelError(f"prefix {prefix} uses unknown token {tok!r}")
-            if set(logps) != set(self.vocab):
+            if set(logps) != known:
                 raise ModelError(f"step for prefix {prefix} must cover the vocabulary")
             total = math.fsum(math.exp(lp) for lp in logps.values())
             if abs(total - 1.0) > PROB_TOL:
@@ -186,6 +184,8 @@ def model_from_dict(obj: dict) -> TableModel:
         raw_steps = obj.get("steps", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad model object: {exc}") from exc
+    if not isinstance(raw_steps, dict):
+        raise ModelError("steps must be an object mapping prefixes to step entries")
     steps = {}
     for key, entry in raw_steps.items():
         prefix = tuple(key.split(" ")) if key else ()
@@ -198,13 +198,20 @@ def model_from_dict(obj: dict) -> TableModel:
 
 
 def load_model(path: str) -> TableModel:
-    """Read a step-model JSON file (see :func:`model_from_dict` for the schema)."""
+    """Read a step-model JSON file (see :func:`model_from_dict` for the schema).
+
+    Any error in its contents, a value of the wrong type included, is a
+    ModelError naming the path.
+    """
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(obj)
+    try:
+        return model_from_dict(obj)
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -239,6 +246,13 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     """
     ids = {tok: i for i, tok in enumerate(model.vocab)}
     content = [tok for tok in model.vocab if tok != model.eos]
+
+    def running_score(h: Hypothesis) -> float:
+        return h.logp - coverage_penalty(h.coverage, cfg.beta)
+
+    def rank(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
+        return -running_score(h), _id_key(ids, h.tokens)
+
     beams = [Hypothesis((), 0.0, np.zeros(model.t_x), False)]
     finished: list[Hypothesis] = []
     exhausted = False
@@ -260,12 +274,7 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
         if not candidates:
             exhausted = True
             break
-        candidates.sort(
-            key=lambda h: (
-                -(h.logp - coverage_penalty(h.coverage, cfg.beta)),
-                _id_key(ids, h.tokens),
-            )
-        )
+        candidates.sort(key=rank)
         beams = candidates[: cfg.beam_width]
 
     if not exhausted:
@@ -276,19 +285,8 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
         return DecodeResult(best.tokens, final_score(best, cfg), best)
 
     # Every continuation was pruned before anything could finish.
-    best = min(
-        beams,
-        key=lambda h: (
-            -(h.logp - coverage_penalty(h.coverage, cfg.beta)),
-            _id_key(ids, h.tokens),
-        ),
-    )
-    return DecodeResult(
-        best.tokens,
-        best.logp - coverage_penalty(best.coverage, cfg.beta),
-        best,
-        warning=True,
-    )
+    best = min(beams, key=rank)
+    return DecodeResult(best.tokens, running_score(best), best, warning=True)
 
 
 MAX_EXHAUSTIVE_NODES = 10**6

@@ -115,7 +115,7 @@ def load_questions(path: str) -> list[ClozeQuestion]:
                 answer=str(obj["answer"]),
                 candidates=tuple(str(c) for c in obj["candidates"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: bad question: {exc}") from exc
         if q.qid in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate qid {q.qid!r}")

@@ -124,3 +124,60 @@ def count_sentence_entity_pairs(doc) -> int:
             inside = {m.entity_id for m in mentions if start <= m.start and m.end <= end}
             total += len(inside)
     return total
+
+
+def four_block_finite_difference_check(states, params, targets, step: float = 1e-5) -> float:
+    """The gradient check as four copied blocks, one per differentiated
+    array, each rebuilding AttentionParams and running the public
+    saliency_bce (with all of its checks) for every perturbed entry."""
+    from apes_eval.attnloss import (
+        AttentionParams,
+        _check_states,
+        _check_targets,
+        _relative_error,
+        attention_gradients,
+        central_difference,
+        saliency_bce,
+    )
+
+    states = _check_states(states, params).copy()
+    targets = _check_targets(targets, states.shape[0])
+    analytic = attention_gradients(states, params, targets)
+
+    u, b, v = params.u.copy(), params.b.copy(), params.v.copy()
+
+    errors = [
+        _relative_error(
+            analytic.u,
+            central_difference(lambda a: saliency_bce(states, AttentionParams(a, b, v), targets), u, step),
+        ),
+        _relative_error(
+            analytic.b,
+            central_difference(lambda a: saliency_bce(states, AttentionParams(u, a, v), targets), b, step),
+        ),
+        _relative_error(
+            analytic.v,
+            central_difference(lambda a: saliency_bce(states, AttentionParams(u, b, a), targets), v, step),
+        ),
+        _relative_error(
+            analytic.states,
+            central_difference(lambda a: saliency_bce(a, params, targets), states, step),
+        ),
+    ]
+    return max(errors)
+
+
+def stepwise_final_score(hyp, cfg) -> float:
+    """The full penalty score, subtracting each penalty in turn and the
+    entity penalty only when gamma > 0."""
+    from apes_eval.decode import coverage_penalty, entity_penalty, length_penalty
+
+    if not hyp.finished:
+        raise ValueError("final_score applies to finished hypotheses only")
+    if cfg.gamma > 0 and cfg.saliency is None:
+        raise ValueError("gamma > 0 requires a saliency vector")
+    score = hyp.logp / length_penalty(len(hyp.tokens), cfg.alpha)
+    score -= coverage_penalty(hyp.coverage, cfg.beta)
+    if cfg.gamma > 0:
+        score -= entity_penalty(hyp.coverage, cfg.saliency, cfg.gamma)
+    return score

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apes_eval import attnloss
 from apes_eval.attnloss import (
     AttentionParams,
     attention_gradients,
@@ -18,6 +20,7 @@ from apes_eval.attnloss import (
     run_gradcheck,
     saliency_bce,
 )
+from oracles import four_block_finite_difference_check
 
 
 def params_of(u, b, v):
@@ -189,3 +192,52 @@ class TestGradients:
 
     def test_gradcheck_deterministic(self):
         assert run_gradcheck(seed=9, trials=5) == run_gradcheck(seed=9, trials=5)
+
+    @pytest.mark.parametrize("name", ["u", "b", "v", "states"])
+    def test_gradient_one_percent_off_in_one_entry_fails(self, monkeypatch, name):
+        states, params, targets = random_instance(np.random.default_rng(7))
+        assert finite_difference_check(states, params, targets) < 1e-5
+        exact = attnloss.attention_gradients
+
+        def one_percent_off(*args):
+            grads = exact(*args)
+            wrong = getattr(grads, name).copy()
+            wrong.flat[np.argmax(np.abs(wrong))] *= 1.01
+            return dataclasses.replace(grads, **{name: wrong})
+
+        monkeypatch.setattr(attnloss, "attention_gradients", one_percent_off)
+        assert finite_difference_check(states, params, targets) > 1e-5
+
+
+class TestFiniteDifferenceOracle:
+    """finite_difference_check against the four-block version that ran the
+    public checks for every perturbed entry: equal floats, not just close."""
+
+    def test_equals_oracle_on_random_instances(self):
+        rng = np.random.default_rng(20)
+        for trial in range(240):
+            states, params, targets = random_instance(rng)
+            step = 1e-5 if trial < 200 else 1e-2
+            assert finite_difference_check(states, params, targets, step) == (
+                four_block_finite_difference_check(states, params, targets, step)
+            )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no positions", "saturated", "zero step", "nan step", "inf step", "bad targets"],
+    )
+    def test_rejects_what_oracle_rejects(self, case):
+        states, params, targets = random_instance(np.random.default_rng(3))
+        step = 1e-5
+        if case == "no positions":
+            states, targets = states[:0], targets[:0]
+        elif case == "saturated":  # every score is 100 tanh(1), so every prob rounds to 1.0
+            states, params, targets = np.ones((2, 1)), params_of([[1.0]], [0.0], [100.0]), [1.0, 0.0]
+        elif case == "bad targets":
+            targets = targets + 0.5
+        else:
+            step = {"zero step": 0.0, "nan step": math.nan, "inf step": math.inf}[case]
+        with pytest.raises(ValueError):
+            four_block_finite_difference_check(states, params, targets, step)
+        with pytest.raises(ValueError):
+            finite_difference_check(states, params, targets, step)

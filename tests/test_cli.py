@@ -139,6 +139,35 @@ class TestInputBoundary:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field", [{"candidates": 5}, {"question": 5}])
+    def test_question_field_exit_one(self, tmp_path, capsys, field):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        rows = [json.loads(l) for l in open(questions_path)]
+        rows[1].update(field)
+        bad = write_jsonl(tmp_path / "bad_q.jsonl", rows)
+        argv = ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
+                "--questions", bad, "--out", str(tmp_path / "r.json")]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "bad_q.jsonl:2" in err
+        assert "Traceback" not in err
+
+    def test_int_qid_is_read_as_its_string(self, tmp_path):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        rows = [json.loads(l) for l in open(questions_path)]
+        reports = []
+        for qid in (7, "7"):
+            rows[0]["qid"] = qid
+            path = write_jsonl(tmp_path / "q.jsonl", rows)
+            out = tmp_path / "r.json"
+            argv = ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
+                    "--questions", path, "--out", str(out)]
+            assert main(argv) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestEvaluate:
     def test_reference_as_system_oracle_is_perfect(self, tmp_path):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
@@ -497,6 +526,36 @@ class TestDecodeDemo:
         path = tmp_path / "model.json"
         path.write_text("{}")
         assert main(["decode-demo", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.update(steps=[1]),
+            lambda m: m["steps"][""]["logp"].update(a="zero"),
+            lambda m: m.update(saliency=5),
+        ],
+        ids=["steps list", "logp string", "saliency number"],
+    )
+    def test_bad_model_field_exit_one(self, tmp_path, capsys, edit):
+        path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))
+        model = json.loads(path.read_text())
+        edit(model)
+        path.write_text(json.dumps(model))
+        rc = main(["decode-demo", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "model.json" in err
+        assert "Traceback" not in err
+
+    def test_string_t_x_still_loads(self, tmp_path, capsys):
+        path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))
+        assert main(["decode-demo", str(path)]) == 0
+        expected = capsys.readouterr().out
+        model = json.loads(path.read_text())
+        model["t_x"] = "2"
+        path.write_text(json.dumps(model))
+        assert main(["decode-demo", str(path)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestGradcheck:

@@ -20,6 +20,7 @@ from apes_eval.decode import (
     load_model,
     score_breakdown,
 )
+from oracles import stepwise_final_score
 
 EOS = "</s>"
 
@@ -166,6 +167,24 @@ class TestFinalScore:
         assert final_score(
             hyp, PenaltyConfig(beta=0.0, gamma=hi_g, saliency=saliency)
         ) <= final_score(hyp, PenaltyConfig(beta=0.0, gamma=lo_g, saliency=saliency))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda t_x: st.lists(st.tuples(st.floats(0, 5), st.floats(0, 1)), min_size=t_x, max_size=t_x)
+        ),
+        st.integers(1, 40),
+        st.floats(-50, 0),
+        st.floats(0, 2),
+        st.floats(0, 2),
+        st.one_of(st.just(0.0), st.floats(0, 5)),
+    )
+    def test_equals_stepwise_oracle(self, positions, n_tokens, logp, alpha, beta, gamma):
+        coverage, saliency = (tuple(x) for x in zip(*positions))
+        hyp = Hypothesis(("a",) * n_tokens, logp, np.array(coverage), True)
+        for sal in (saliency,) if gamma > 0 else (None, saliency):
+            cfg = PenaltyConfig(alpha=alpha, beta=beta, gamma=gamma, saliency=sal)
+            assert final_score(hyp, cfg) == stepwise_final_score(hyp, cfg)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(0, 1.5), st.floats(0, 1.5))
