@@ -131,7 +131,8 @@ def score_apes(
 
     answers = reader([request for _, request in asked])
     if len(answers) != len(asked):
-        raise ValueError("reader returned a different number of answers than requests")
+        # an internal invariant (every reader answers each request once), so exit 2
+        raise AssertionError("reader returned a different number of answers than requests")
 
     per_doc: dict[str, list[int]] = {}
     for (question, _), answer in zip(asked, answers):

@@ -9,8 +9,14 @@ The saliency loss is the mean binary cross entropy of prob against the
 binary targets; the hybrid loss mixes it with the step-wise NLL. Analytic
 gradients are verified against central finite differences. Everything is
 float64. The forward pass and the BCE are written once, unchecked
-(`_forward`, `_bce`); each public function checks its inputs once, then
-calls them, and the gradient check differentiates that same loss.
+(`_forward`, `_bce_rows`); each public function checks its inputs once,
+then calls them, and the gradient check differentiates that same loss.
+
+`_forward` is stack-aware: any input may carry one leading axis of copies.
+The gradient check uses that to batch its central differences: for an
+array with K entries it stacks the K "+step" and the K "-step" copies,
+runs them through one forward pass and one row-wise BCE, and takes
+(plus - minus) / (2 step), once each for u, b, v and the states.
 """
 
 from __future__ import annotations
@@ -66,21 +72,31 @@ def _check_targets(targets: Sequence[float], t_x: int) -> np.ndarray:
 def _forward(
     states: np.ndarray, u: np.ndarray, b: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unchecked forward pass: (tanh preactivation, scores, probabilities)."""
-    pre = np.tanh(states @ u.T + b)  # (t_x, d_align)
-    scores = pre @ v
+    """Unchecked forward pass: (tanh preactivation, scores, probabilities).
+
+    Any argument may carry one leading stack axis; the outputs then carry
+    it too, one forward pass per stacked copy.
+    """
+    pre = np.tanh(states @ np.swapaxes(u, -1, -2) + b[..., None, :])  # (..., t_x, d_align)
+    scores = (pre @ v[..., None])[..., 0]
     probs = 1.0 / (1.0 + np.exp(-scores))
     return pre, scores, probs
 
 
-def _bce(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean BCE against checked targets; probs must be non-empty and in (0, 1)."""
+def _bce_rows(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean BCE of each row of probs against checked targets; every row must
+    be non-empty and in (0, 1)."""
     if probs.size == 0:
         raise ValueError("probs must be a non-empty vector")
     if np.any(probs <= 0.0) or np.any(probs >= 1.0):
         raise ValueError("probabilities must lie strictly in (0, 1)")
     terms = -(targets * np.log(probs) + (1.0 - targets) * np.log(1.0 - probs))
-    return float(terms.mean())
+    return terms.mean(axis=-1)
+
+
+def _bce(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean BCE of one probability vector against checked targets."""
+    return float(_bce_rows(probs, targets))
 
 
 def entity_attention_forward(
@@ -155,24 +171,32 @@ def attention_gradients(
     return AttentionGradients(u=du, b=db, v=dv, states=dstates)
 
 
+def _perturbed(array: np.ndarray, step: float) -> np.ndarray:
+    """The 2K copies of an array with K entries, stacked on a new leading
+    axis: copy i has entry i raised by step, copy K + i has it lowered."""
+    flat = array.reshape(-1)
+    copies = np.tile(flat, (2, flat.size, 1))
+    diagonal = np.arange(flat.size)
+    copies[0, diagonal, diagonal] = flat + step
+    copies[1, diagonal, diagonal] = flat - step
+    return copies.reshape((2 * flat.size, *array.shape))
+
+
+def _difference(values: np.ndarray, step: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Central differences from a function's values on an array's
+    _perturbed copies, shaped like the array."""
+    plus, minus = values.reshape(2, -1)
+    return ((plus - minus) / (2.0 * step)).reshape(shape)
+
+
 def central_difference(
     fn: Callable[[np.ndarray], float], array: np.ndarray, step: float
 ) -> np.ndarray:
     """Central finite differences of fn over every entry of array."""
     if step <= 0:
         raise ValueError("step must be positive")
-    grad = np.zeros_like(array, dtype=float)
-    flat = array.reshape(-1)
-    out = grad.reshape(-1)
-    for idx in range(flat.size):
-        original = flat[idx]
-        flat[idx] = original + step
-        plus = fn(array)
-        flat[idx] = original - step
-        minus = fn(array)
-        flat[idx] = original
-        out[idx] = (plus - minus) / (2.0 * step)
-    return grad
+    values = np.array([fn(copy) for copy in _perturbed(array, step)], dtype=float)
+    return _difference(values, step, array.shape)
 
 
 def _relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-8) -> float:
@@ -186,6 +210,32 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e
     return float(np.where(diff <= floor, 0.0, diff / denom).max())
 
 
+def _numeric_gradients(
+    states: np.ndarray,
+    u: np.ndarray,
+    b: np.ndarray,
+    v: np.ndarray,
+    targets: np.ndarray,
+    step: float,
+) -> AttentionGradients:
+    """Central differences of the saliency BCE over every entry of u, b, v
+    and states; each array's perturbed copies go through one forward pass
+    and one BCE as a stack."""
+
+    def numeric(array: np.ndarray, forward: Callable[[np.ndarray], tuple]) -> np.ndarray:
+        if array.size == 0:  # no entry to perturb, so no loss to evaluate
+            return np.zeros(array.shape)
+        probs = forward(_perturbed(array, step))[2]
+        return _difference(_bce_rows(probs, targets), step, array.shape)
+
+    return AttentionGradients(
+        u=numeric(u, lambda stack: _forward(states, stack, b, v)),
+        b=numeric(b, lambda stack: _forward(states, u, stack, v)),
+        v=numeric(v, lambda stack: _forward(states, u, b, stack)),
+        states=numeric(states, lambda stack: _forward(stack, u, b, v)),
+    )
+
+
 def finite_difference_check(
     states: np.ndarray,
     params: AttentionParams,
@@ -197,19 +247,18 @@ def finite_difference_check(
     Relative error uses an absolute floor of 1e-8 so near-zero gradients do
     not explode the ratio.
     """
-    states = _check_states(states, params).copy()
+    states = _check_states(states, params)
     targets = _check_targets(targets, states.shape[0])
     analytic = attention_gradients(states, params, targets)
+    if step <= 0:
+        raise ValueError("step must be positive")
     if not np.isfinite(step):
         raise ValueError("step must be finite")  # the loss does not re-check perturbed u, b, v
-    u, b, v = params.u.copy(), params.b.copy(), params.v.copy()
-
-    def loss(_: np.ndarray) -> float:
-        # central_difference perturbs u, b, v and states in place
-        return _bce(_forward(states, u, b, v)[2], targets)
-
-    pairs = ((analytic.u, u), (analytic.b, b), (analytic.v, v), (analytic.states, states))
-    return max(_relative_error(g, central_difference(loss, a, step)) for g, a in pairs)
+    numeric = _numeric_gradients(states, params.u, params.b, params.v, targets, step)
+    return max(
+        _relative_error(getattr(analytic, name), getattr(numeric, name))
+        for name in ("u", "b", "v", "states")
+    )
 
 
 def random_instance(

@@ -115,7 +115,8 @@ class TableModel:
 
     Unlisted prefixes fall back to a uniform distribution over the
     vocabulary and uniform attention. Distributions must exponentiate-sum
-    to 1 and attention rows must be non-negative and sum to 1.
+    to 1 and attention rows must be non-negative and sum to 1; a NaN
+    entry fails both checks.
     """
 
     def __init__(
@@ -153,14 +154,14 @@ class TableModel:
             if set(logps) != known:
                 raise ModelError(f"step for prefix {prefix} must cover the vocabulary")
             total = math.fsum(math.exp(lp) for lp in logps.values())
-            if abs(total - 1.0) > PROB_TOL:
+            if not abs(total - 1.0) <= PROB_TOL:  # negated, so that a NaN fails
                 raise ModelError(
                     f"step for prefix {prefix}: probabilities sum to {total}, not 1"
                 )
             row = np.asarray(attn, dtype=float)
             if row.shape != (t_x,):
                 raise ModelError(f"attention row for prefix {prefix} must have length {t_x}")
-            if row.min() < 0 or abs(float(row.sum()) - 1.0) > PROB_TOL:
+            if not (row.min() >= 0 and abs(float(row.sum()) - 1.0) <= PROB_TOL):  # NaN fails
                 raise ModelError(
                     f"attention row for prefix {prefix} must be non-negative and sum to 1"
                 )

@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 
 def ngram_list(tokens: Sequence[str], n: int) -> list[tuple[str, ...]]:
     return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
@@ -126,18 +128,74 @@ def count_sentence_entity_pairs(doc) -> int:
     return total
 
 
+def frozen_forward(states, u, b, v):
+    """The 2-D forward pass as written before it took stacks:
+    (tanh preactivation, scores, probabilities)."""
+    pre = np.tanh(states @ u.T + b)
+    scores = pre @ v
+    probs = 1.0 / (1.0 + np.exp(-scores))
+    return pre, scores, probs
+
+
+def frozen_bce(probs, targets) -> float:
+    """The mean BCE of one probability vector as written before it took rows."""
+    if probs.size == 0:
+        raise ValueError("probs must be a non-empty vector")
+    if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        raise ValueError("probabilities must lie strictly in (0, 1)")
+    terms = -(targets * np.log(probs) + (1.0 - targets) * np.log(1.0 - probs))
+    return float(terms.mean())
+
+
+def inplace_central_difference(fn, array, step: float):
+    """Central differences entry by entry: perturb one entry of array in
+    place, call fn on the whole array, restore the entry."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    grad = np.zeros_like(array, dtype=float)
+    flat = array.reshape(-1)
+    out = grad.reshape(-1)
+    for idx in range(flat.size):
+        original = flat[idx]
+        flat[idx] = original + step
+        plus = fn(array)
+        flat[idx] = original - step
+        minus = fn(array)
+        flat[idx] = original
+        out[idx] = (plus - minus) / (2.0 * step)
+    return grad
+
+
+def frozen_saliency_bce(states, params, targets) -> float:
+    """saliency_bce with every public check, on the frozen forward pass and BCE."""
+    from apes_eval.attnloss import _check_states, _check_targets
+
+    probs = frozen_forward(_check_states(states, params), params.u, params.b, params.v)[2]
+    return frozen_bce(probs, _check_targets(targets, probs.shape[0]))
+
+
+def inplace_numeric_gradients(states, params, targets, step: float):
+    """Numeric gradients of the saliency BCE with respect to u, b, v and
+    states, by the in-place loop over copies of each."""
+    states = states.copy()
+    u, b, v = params.u.copy(), params.b.copy(), params.v.copy()
+
+    def loss(_):
+        return frozen_bce(frozen_forward(states, u, b, v)[2], targets)
+
+    return tuple(inplace_central_difference(loss, a, step) for a in (u, b, v, states))
+
+
 def four_block_finite_difference_check(states, params, targets, step: float = 1e-5) -> float:
     """The gradient check as four copied blocks, one per differentiated
-    array, each rebuilding AttentionParams and running the public
-    saliency_bce (with all of its checks) for every perturbed entry."""
+    array, each rebuilding AttentionParams and running saliency_bce (with
+    all of its checks) for every perturbed entry, entry by entry."""
     from apes_eval.attnloss import (
         AttentionParams,
         _check_states,
         _check_targets,
         _relative_error,
         attention_gradients,
-        central_difference,
-        saliency_bce,
     )
 
     states = _check_states(states, params).copy()
@@ -149,19 +207,25 @@ def four_block_finite_difference_check(states, params, targets, step: float = 1e
     errors = [
         _relative_error(
             analytic.u,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(a, b, v), targets), u, step),
+            inplace_central_difference(
+                lambda a: frozen_saliency_bce(states, AttentionParams(a, b, v), targets), u, step
+            ),
         ),
         _relative_error(
             analytic.b,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(u, a, v), targets), b, step),
+            inplace_central_difference(
+                lambda a: frozen_saliency_bce(states, AttentionParams(u, a, v), targets), b, step
+            ),
         ),
         _relative_error(
             analytic.v,
-            central_difference(lambda a: saliency_bce(states, AttentionParams(u, b, a), targets), v, step),
+            inplace_central_difference(
+                lambda a: frozen_saliency_bce(states, AttentionParams(u, b, a), targets), v, step
+            ),
         ),
         _relative_error(
             analytic.states,
-            central_difference(lambda a: saliency_bce(a, params, targets), states, step),
+            inplace_central_difference(lambda a: frozen_saliency_bce(a, params, targets), states, step),
         ),
     ]
     return max(errors)

@@ -20,7 +20,14 @@ from apes_eval.attnloss import (
     run_gradcheck,
     saliency_bce,
 )
-from oracles import four_block_finite_difference_check
+from oracles import (
+    four_block_finite_difference_check,
+    frozen_bce,
+    frozen_forward,
+    frozen_saliency_bce,
+    inplace_central_difference,
+    inplace_numeric_gradients,
+)
 
 
 def params_of(u, b, v):
@@ -209,23 +216,86 @@ class TestGradients:
         assert finite_difference_check(states, params, targets) > 1e-5
 
 
+def largest_instance(rng):
+    """A random instance at random_instance's largest sizes: t_x 10, d 8 x 8."""
+    params = AttentionParams(
+        u=rng.standard_normal((8, 8)), b=rng.standard_normal(8), v=rng.standard_normal(8)
+    )
+    return rng.standard_normal((10, 8)), params, rng.integers(0, 2, size=10).astype(float)
+
+
+def oracle_instances(seed, count, largest):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield random_instance(rng)
+    for _ in range(largest):
+        yield largest_instance(rng)
+
+
 class TestFiniteDifferenceOracle:
-    """finite_difference_check against the four-block version that ran the
-    public checks for every perturbed entry: equal floats, not just close."""
+    """The batched finite differences against the entry-by-entry versions
+    frozen in tests/oracles.py: equal floats, not just close."""
 
     def test_equals_oracle_on_random_instances(self):
-        rng = np.random.default_rng(20)
-        for trial in range(240):
-            states, params, targets = random_instance(rng)
-            step = 1e-5 if trial < 200 else 1e-2
+        for trial, (states, params, targets) in enumerate(oracle_instances(20, 300, 20)):
+            step = 1e-5 if trial % 4 else 1e-2
             assert finite_difference_check(states, params, targets, step) == (
                 four_block_finite_difference_check(states, params, targets, step)
             )
 
+    @pytest.mark.parametrize("step", [1e-5, 1e-2])
+    def test_numeric_gradients_equal_inplace_loop(self, step):
+        for states, params, targets in oracle_instances(21, 300, 20):
+            pre, scores, probs = attnloss._forward(states, params.u, params.b, params.v)
+            frozen = frozen_forward(states, params.u, params.b, params.v)
+            assert all(map(np.array_equal, (pre, scores, probs), frozen))
+            assert attnloss._bce(probs, targets) == frozen_bce(frozen[2], targets)
+            batched = attnloss._numeric_gradients(
+                states, params.u, params.b, params.v, targets, step
+            )
+            expected = inplace_numeric_gradients(states, params, targets, step)
+            for got, want in zip((batched.u, batched.b, batched.v, batched.states), expected):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    def test_central_difference_equals_inplace_loop(self):
+        for states, params, targets in oracle_instances(22, 40, 5):
+            def loss(a):
+                return frozen_saliency_bce(states, AttentionParams(params.u, params.b, a), targets)
+
+            for step in (1e-5, 1e-2):
+                assert np.array_equal(
+                    central_difference(loss, params.v.copy(), step),
+                    inplace_central_difference(loss, params.v.copy(), step),
+                )
+
+    @pytest.mark.parametrize("t_x, d_hidden", [(0, 3), (2, 3), (2, 0)])
+    def test_empty_alignment_space_equals_oracle(self, t_x, d_hidden):
+        # with d_align 0 every score is 0 and u, b and v have no entry to
+        # perturb; with t_x 0 as well no loss is ever evaluated
+        rng = np.random.default_rng(23)
+        states = rng.standard_normal((t_x, d_hidden))
+        params = params_of(np.zeros((0, d_hidden)), np.zeros(0), np.zeros(0))
+        targets = rng.integers(0, 2, size=t_x).astype(float)
+        assert finite_difference_check(states, params, targets) == (
+            four_block_finite_difference_check(states, params, targets)
+        )
+
     @pytest.mark.parametrize(
         "case",
-        ["no positions", "saturated", "zero step", "nan step", "inf step", "bad targets"],
+        [
+            "no positions",
+            "saturated",
+            "plus copy saturates",
+            "minus copy saturates",
+            "copy saturates to 0",
+            "zero step",
+            "nan step",
+            "inf step",
+            "bad targets",
+        ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_rejects_what_oracle_rejects(self, case):
         states, params, targets = random_instance(np.random.default_rng(3))
         step = 1e-5
@@ -233,6 +303,25 @@ class TestFiniteDifferenceOracle:
             states, targets = states[:0], targets[:0]
         elif case == "saturated":  # every score is 100 tanh(1), so every prob rounds to 1.0
             states, params, targets = np.ones((2, 1)), params_of([[1.0]], [0.0], [100.0]), [1.0, 0.0]
+        elif case in ("plus copy saturates", "minus copy saturates"):
+            # 47 tanh(1) keeps the prob below 1.0, but 47 tanh(6) rounds it to
+            # 1.0: u = 1 + 5 in the "+step" copy, or -47 tanh(-4) in the
+            # "-step" copy when v is -47
+            sign = 1.0 if case == "plus copy saturates" else -1.0
+            states, params = np.ones((1, 1)), params_of([[1.0]], [0.0], [sign * 47.0])
+            targets, step = [1.0], 5.0
+            perturbed = params_of([[1.0 + sign * 5.0]], [0.0], [sign * 47.0])
+            assert entity_attention_forward(states, params)[1][0] < 1.0
+            assert entity_attention_forward(states, perturbed)[1][0] == 1.0
+        elif case == "copy saturates to 0":
+            # only the second position saturates: its prob exp(-931 tanh(1))
+            # is tiny but positive, and at u = 1.01 exp(931 tanh(1.01))
+            # overflows, so the "+step" copy's prob is 0.0
+            states, params = np.array([[0.0], [1.0]]), params_of([[1.0]], [0.0], [-931.0])
+            targets, step = [0.0, 1.0], 1e-2
+            perturbed = params_of([[1.01]], [0.0], [-931.0])
+            assert entity_attention_forward(states, params)[1][1] > 0.0
+            assert entity_attention_forward(states, perturbed)[1][1] == 0.0
         elif case == "bad targets":
             targets = targets + 0.5
         else:

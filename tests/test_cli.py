@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -360,6 +361,32 @@ class TestEvaluate:
         assert rc == 1
         assert "reader-cmd" in capsys.readouterr().err
 
+    def test_reader_dropping_an_answer_exits_two(self, tmp_path, capsys, monkeypatch):
+        # only an in-process reader can break the one-answer-per-request
+        # invariant, so it is an internal error, not an input error
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        lexical = batch_reader(answer_lexical)
+
+        def resolve(name, command, threads):
+            return lambda requests: lexical(requests)[:-1]
+
+        monkeypatch.setattr(cli, "_resolve_reader", resolve)
+        out = tmp_path / "report.json"
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--sys", sys_path,
+                "--questions", questions_path,
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("internal error: reader returned a different number of answers")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_refs_override(self, tmp_path):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         sys_rows = [json.loads(l) for l in open(sys_path)]
@@ -558,6 +585,43 @@ class TestDecodeDemo:
         assert capsys.readouterr().out == expected
 
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["steps"][""]["logp"].update(a=math.nan),
+            lambda m: m["steps"]["a"].update(attn=[math.nan, 0.0]),
+        ],
+        ids=["nan logp", "nan attention"],
+    )
+    def test_nan_model_exit_one(self, tmp_path, capsys, edit):
+        # json writes and reads a bare NaN; such a model used to print `score: nan`
+        path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))
+        model = json.loads(path.read_text())
+        edit(model)
+        path.write_text(json.dumps(model))
+        rc = main(["decode-demo", str(path), "--width", "2", "--max-len", "4"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err
+
+    def test_minus_infinity_logp_still_loads(self, tmp_path, capsys):
+        # a -Infinity log-probability is a probability of 0, a valid distribution
+        path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))
+        model = json.loads(path.read_text())
+        model["steps"][""]["logp"].update(b=-math.inf)
+        model["steps"]["a"]["logp"].update({"</s>": -math.inf})
+        model["steps"]["a b"]["logp"].update(a=-math.inf)
+        path.write_text(json.dumps(model))
+        assert "-Infinity" in path.read_text()
+        assert main(["decode-demo", str(path), "--width", "2", "--max-len", "4"]) == 0
+        assert capsys.readouterr().out == (
+            "tokens: a b\nscore: -0.500000\nlogp: 0.000000\n"
+            "lp: 1.148820\ncp: 0.500000\nep: 0.000000\n"
+        )
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         assert main(["gradcheck", "--trials", "10"]) == 0
@@ -610,6 +674,60 @@ class TestCorrelate:
         out = tmp_path / "matrix.csv"
         assert main(["correlate", str(scores), "--grouping", str(groups), "--out", str(out)]) == 0
         assert out.exists()
+
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a nan cell used to read as pearson(a, b) = 1.000000, exit 0
+            ("x,1,2\ny,2,nan\nz,3,1\n", "scores.csv:3: scores must be finite"),
+            ("x,1,2\ny,2,inf\nz,3,1\n", "scores.csv:3: scores must be finite"),
+            # the variance of a overflowed to inf and r read as 0.000000, exit 0
+            ("x,1e200,2\ny,-1e200,1\nz,3,5\n", "a vs b: sums and variances must be finite"),
+            ("x,1e308,2\ny,1e308,1\nz,3,1\n", "a vs b: sums and variances must be finite"),
+            # the product of the variances underflowed to 0: a ZeroDivisionError traceback
+            ("x,1e-160,2e-160\ny,-1e-160,1e-160\nz,3e-160,5e-160\n", "a vs b: undefined correlation"),
+            ("x,1,2\ny," + "1" * 131073 + ",1\nz,3,1\n", "scores.csv:3: field larger than field limit"),
+        ],
+        ids=["nan", "inf", "variance overflow", "sum overflow", "variance underflow", "long field"],
+    )
+    def test_unusable_scores_exit_one(self, tmp_path, capsys, rows, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("unit,a,b\n" + rows)
+        assert main(["correlate", str(scores)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_repeated_metric_names_header_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("unit,a,a\nx,1,2\ny,2,3\nz,3,1\n")
+        assert main(["correlate", str(scores)]) == 1
+        assert capsys.readouterr().err == f"error: {scores}:1: duplicate metric names ['a']\n"
+
+    @pytest.mark.parametrize("which", ["scores", "grouping"])
+    def test_non_utf8_csv_names_the_file(self, tmp_path, capsys, which):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("unit,a,b\nx,1,2\ny,2,3\nz,3,1\n")
+        groups = tmp_path / "groups.csv"
+        groups.write_text("unit,system\nx,s1\ny,s1\nz,s2\n")
+        bad = scores if which == "scores" else groups
+        bad.write_bytes(bad.read_bytes() + b"w,\xff\n")
+        assert main(["correlate", str(scores), "--grouping", str(groups)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
+    def test_grouping_mean_overflow_exit_one(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("unit,a,b\nx,1e308,2\ny,1e308,1\nz,3,1\n")
+        groups = tmp_path / "groups.csv"
+        groups.write_text("unit,system\nx,s1\ny,s1\nz,s2\n")
+        assert main(["correlate", str(scores), "--grouping", str(groups)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: system 's1': intermediate overflow")
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -34,6 +34,15 @@ class TestPearson:
         with pytest.raises(StatsError, match="zero variance"):
             pearson([1, 2, 3], [5, 5, 5])
 
+    @pytest.mark.parametrize(
+        "x",
+        [[1.0, math.nan, 3.0], [1.0, math.inf, 3.0], [1e200, -1e200, 3.0], [1e308, 1e308, 3.0]],
+        ids=["nan", "inf", "variance overflow", "sum overflow"],
+    )
+    def test_non_finite_sum_or_variance_is_error(self, x):
+        with pytest.raises(StatsError, match="sums and variances must be finite"):
+            pearson(x, [2.0, 1.0, 5.0])
+
     def test_length_checks(self):
         with pytest.raises(StatsError):
             pearson([1], [1])
