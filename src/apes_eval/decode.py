@@ -14,6 +14,10 @@ end-of-sequence token is not part of Y (its step adds log-probability but
 no coverage), sequences must emit at least one content token, and
 hypotheses still alive at max_len are frozen as finished without an
 end-of-sequence term.
+
+Coverage and attention are tuples of Python floats. Sums over them follow
+numpy's float64 summation order (see :func:`_sum`), so every score equals
+the one numpy's ``ndarray.sum()`` would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,11 +25,37 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from functools import reduce
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence
 
 PROB_TOL = 1e-9
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    n = len(values)
+    if n < 8:
+        return reduce(add, values, 0.0)
+    if n <= 128:
+        # eight running accumulators over blocks of eight, then the rest in order
+        m = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, m, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+            r0, r1, r2, r3 = r0 + a0, r1 + a1, r2 + a2, r3 + a3
+            r4, r5, r6, r7 = r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        return reduce(add, values[m:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+def _sum(values: Sequence[float]) -> float:
+    """Sum a list or tuple of floats in numpy's float64 order: 0.0 plus
+    numpy's pairwise sum, so the result equals ``ndarray.sum()`` bit for
+    bit. Left-to-right summation (``sum()``, which Python 3.12 also
+    compensates) and ``math.fsum`` round differently from eight values on."""
+    return 0.0 + _pairwise_sum(values)
 
 
 class ModelError(ValueError):
@@ -61,31 +91,33 @@ def length_penalty(length: int, alpha: float) -> float:
 
 
 def coverage_penalty(coverage: Sequence[float], beta: float) -> float:
-    """Charge accumulated attention mass above 1.0 per source position."""
-    cov = np.asarray(coverage, dtype=float)
-    if cov.size and cov.min() < 0:
+    """Charge accumulated attention mass above 1.0 per source position.
+
+    A NaN entry passes the sign check (and hides a negative one) and makes
+    the penalty NaN, as numpy's min and maximum do."""
+    if any(c < 0 for c in coverage) and not any(c != c for c in coverage):
         raise ValueError("coverage entries must be non-negative")
-    return float(beta * (-cov.size + np.maximum(cov, 1.0).sum()))
+    return float(beta * (-len(coverage) + _sum([1.0 if c < 1.0 else c for c in coverage])))
 
 
 def entity_penalty(
     coverage: Sequence[float], saliency: Sequence[float], gamma: float
 ) -> float:
-    """Charge predicted saliency mass left uncovered by attention."""
-    cov = np.asarray(coverage, dtype=float)
-    sal = np.asarray(saliency, dtype=float)
-    if cov.shape != sal.shape:
+    """Charge predicted saliency mass left uncovered by attention; a NaN
+    difference makes the penalty NaN."""
+    if len(coverage) != len(saliency):
         raise ValueError(
-            f"coverage and saliency lengths differ: {cov.shape} vs {sal.shape}"
+            f"coverage and saliency lengths differ: ({len(coverage)},) vs ({len(saliency)},)"
         )
-    return float(gamma * np.maximum(sal - cov, 0.0).sum())
+    gaps = map(sub, saliency, coverage)
+    return float(gamma * _sum([0.0 if d < 0.0 else d for d in gaps]))
 
 
 @dataclass(frozen=True)
 class Hypothesis:
     tokens: tuple[str, ...]
     logp: float
-    coverage: np.ndarray
+    coverage: tuple[float, ...]
     finished: bool
 
 
@@ -146,7 +178,7 @@ class TableModel:
             if any(not 0 <= s <= 1 for s in self.saliency):
                 raise ModelError("saliency entries must lie in [0, 1]")
 
-        self._steps: dict[tuple[str, ...], tuple[dict[str, float], np.ndarray]] = {}
+        self._steps: dict[tuple[str, ...], tuple[dict[str, float], tuple[float, ...]]] = {}
         for prefix, (logps, attn) in steps.items():
             for tok in prefix:
                 if tok not in known:
@@ -158,23 +190,33 @@ class TableModel:
                 raise ModelError(
                     f"step for prefix {prefix}: probabilities sum to {total}, not 1"
                 )
-            row = np.asarray(attn, dtype=float)
-            if row.shape != (t_x,):
-                raise ModelError(f"attention row for prefix {prefix} must have length {t_x}")
-            if not (row.min() >= 0 and abs(float(row.sum()) - 1.0) <= PROB_TOL):  # NaN fails
-                raise ModelError(
-                    f"attention row for prefix {prefix} must be non-negative and sum to 1"
-                )
-            self._steps[tuple(prefix)] = (dict(logps), row)
+            self._steps[tuple(prefix)] = (dict(logps), _attention_row(prefix, attn, t_x))
 
         self._uniform_logp = {tok: -math.log(len(self.vocab)) for tok in self.vocab}
-        self._uniform_attn = np.full(t_x, 1.0 / t_x)
+        self._uniform_attn = (1.0 / t_x,) * t_x
 
-    def step(self, prefix: Sequence[str]) -> tuple[dict[str, float], np.ndarray]:
+    def step(self, prefix: Sequence[str]) -> tuple[dict[str, float], tuple[float, ...]]:
         entry = self._steps.get(tuple(prefix))
         if entry is None:
             return self._uniform_logp, self._uniform_attn
         return entry
+
+
+def _attention_row(prefix: tuple[str, ...], attn: Iterable, t_x: int) -> tuple[float, ...]:
+    """An attention row as floats, each entry read by float(). A null entry
+    reads as NaN, as numpy's float conversion reads it, and so fails the row
+    check; a string or object is not a row, and a number is not iterable."""
+    if isinstance(attn, (str, dict)):
+        raise ModelError(f"attention row for prefix {prefix} must have length {t_x}")
+    row = tuple(math.nan if x is None else float(x) for x in attn)
+    if len(row) != t_x:
+        raise ModelError(f"attention row for prefix {prefix} must have length {t_x}")
+    # min() can pass over a NaN, but a NaN entry makes the sum NaN, which fails
+    if not (min(row) >= 0 and abs(_sum(row) - 1.0) <= PROB_TOL):
+        raise ModelError(
+            f"attention row for prefix {prefix} must be non-negative and sum to 1"
+        )
+    return row
 
 
 def model_from_dict(obj: dict) -> TableModel:
@@ -220,18 +262,12 @@ class DecodeResult:
     tokens: tuple[str, ...]
     score: float
     hypothesis: Hypothesis
-    warning: bool = False  # set when nothing finished and the best live prefix is returned
 
 
-def _creates_repeated_trigram(tokens: tuple[str, ...], nxt: str) -> bool:
-    if len(tokens) < 3:
-        return False
-    new = (tokens[-2], tokens[-1], nxt)
-    return any(tokens[i : i + 3] == new for i in range(len(tokens) - 2))
-
-
-def _id_key(ids: Mapping[str, int], tokens: tuple[str, ...]) -> tuple[int, ...]:
-    return tuple(ids[t] for t in tokens)
+def _repeating_successors(tokens: tuple[str, ...]) -> set[str]:
+    """The tokens whose appending would repeat a trigram already in `tokens`."""
+    tail = tokens[-2:]
+    return {tokens[i + 2] for i in range(len(tokens) - 2) if tokens[i : i + 2] == tail}
 
 
 def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
@@ -244,50 +280,52 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     returned, ties going to the lexicographically smallest token-id
     sequence. With trigram blocking, expansions recreating a trigram
     already present in the hypothesis are pruned.
+
+    The content children of one parent share its attention row, so each
+    parent's child coverage and its penalty are computed once, and only
+    the children kept in the beam become Hypothesis objects. Hypotheses
+    travel with their token-id tuples, the tie-break of every ranking.
     """
     ids = {tok: i for i, tok in enumerate(model.vocab)}
-    content = [tok for tok in model.vocab if tok != model.eos]
+    content = [(ids[tok], tok) for tok in model.vocab if tok != model.eos]
 
-    def running_score(h: Hypothesis) -> float:
-        return h.logp - coverage_penalty(h.coverage, cfg.beta)
-
-    def rank(h: Hypothesis) -> tuple[float, tuple[int, ...]]:
-        return -running_score(h), _id_key(ids, h.tokens)
-
-    beams = [Hypothesis((), 0.0, np.zeros(model.t_x), False)]
-    finished: list[Hypothesis] = []
-    exhausted = False
+    beams = [(Hypothesis((), 0.0, (0.0,) * model.t_x, False), ())]
+    finished: list[tuple[Hypothesis, tuple[int, ...]]] = []
 
     for _ in range(cfg.max_len):
-        candidates: list[Hypothesis] = []
-        for hyp in beams:
+        expanded = []
+        ranked = []
+        for parent, (hyp, hyp_ids) in enumerate(beams):
             logps, attn = model.step(hyp.tokens)
             if hyp.tokens:
                 finished.append(
-                    Hypothesis(hyp.tokens, hyp.logp + logps[model.eos], hyp.coverage, True)
+                    (Hypothesis(hyp.tokens, hyp.logp + logps[model.eos], hyp.coverage, True), hyp_ids)
                 )
-            for tok in content:
-                if cfg.block_repeated_trigrams and _creates_repeated_trigram(hyp.tokens, tok):
-                    continue
-                candidates.append(
-                    Hypothesis(hyp.tokens + (tok,), hyp.logp + logps[tok], hyp.coverage + attn, False)
-                )
-        if not candidates:
-            exhausted = True
+            coverage = tuple(map(add, hyp.coverage, attn))
+            cp = coverage_penalty(coverage, cfg.beta)
+            blocked = _repeating_successors(hyp.tokens) if cfg.block_repeated_trigrams else ()
+            expanded.append((hyp, logps, coverage))
+            # the rank is (-(logp - cp), id tuple); id tuples are unique, so
+            # the parent index and token after them never decide the order
+            ranked += [
+                (-((hyp.logp + logps[tok]) - cp), hyp_ids + (i,), parent, tok)
+                for i, tok in content
+                if tok not in blocked
+            ]
+        if not ranked:
             break
-        candidates.sort(key=rank)
-        beams = candidates[: cfg.beam_width]
+        ranked.sort()
+        beams = []
+        for _, child_ids, parent, tok in ranked[: cfg.beam_width]:
+            hyp, logps, coverage = expanded[parent]
+            beams.append(
+                (Hypothesis(hyp.tokens + (tok,), hyp.logp + logps[tok], coverage, False), child_ids)
+            )
+    else:
+        finished += [(Hypothesis(h.tokens, h.logp, h.coverage, True), i) for h, i in beams]
 
-    if not exhausted:
-        finished.extend(Hypothesis(h.tokens, h.logp, h.coverage, True) for h in beams)
-
-    if finished:
-        best = min(finished, key=lambda h: (-final_score(h, cfg), _id_key(ids, h.tokens)))
-        return DecodeResult(best.tokens, final_score(best, cfg), best)
-
-    # Every continuation was pruned before anything could finish.
-    best = min(beams, key=rank)
-    return DecodeResult(best.tokens, running_score(best), best, warning=True)
+    best, _ = min(finished, key=lambda entry: (-final_score(entry[0], cfg), entry[1]))
+    return DecodeResult(best.tokens, final_score(best, cfg), best)
 
 
 MAX_EXHAUSTIVE_NODES = 10**6
@@ -300,7 +338,7 @@ def exhaustive_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     enough to hold every prefix reproduces this result exactly.
     """
     ids = {tok: i for i, tok in enumerate(model.vocab)}
-    content = [tok for tok in model.vocab if tok != model.eos]
+    content = [(ids[tok], tok) for tok in model.vocab if tok != model.eos]
     if len(content) ** cfg.max_len > MAX_EXHAUSTIVE_NODES:
         raise ValueError(
             f"search space {len(content)}^{cfg.max_len} exceeds {MAX_EXHAUSTIVE_NODES}"
@@ -308,26 +346,26 @@ def exhaustive_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
 
     best: tuple[tuple[float, tuple[int, ...]], Hypothesis] | None = None
 
-    def consider(hyp: Hypothesis) -> None:
+    def consider(hyp: Hypothesis, hyp_ids: tuple[int, ...]) -> None:
         nonlocal best
-        key = (-final_score(hyp, cfg), _id_key(ids, hyp.tokens))
+        key = (-final_score(hyp, cfg), hyp_ids)
         if best is None or key < best[0]:
             best = (key, hyp)
 
-    def walk(tokens: tuple[str, ...], logp: float, coverage: np.ndarray) -> None:
+    def walk(tokens: tuple[str, ...], token_ids: tuple[int, ...], logp: float,
+             coverage: tuple[float, ...]) -> None:
         if len(tokens) == cfg.max_len:
-            consider(Hypothesis(tokens, logp, coverage, True))
+            consider(Hypothesis(tokens, logp, coverage, True), token_ids)
             return
         logps, attn = model.step(tokens)
         if tokens:
-            consider(Hypothesis(tokens, logp + logps[model.eos], coverage, True))
-        for tok in content:
-            if cfg.block_repeated_trigrams and _creates_repeated_trigram(tokens, tok):
-                continue
-            walk(tokens + (tok,), logp + logps[tok], coverage + attn)
+            consider(Hypothesis(tokens, logp + logps[model.eos], coverage, True), token_ids)
+        child_coverage = tuple(map(add, coverage, attn))
+        blocked = _repeating_successors(tokens) if cfg.block_repeated_trigrams else ()
+        for i, tok in content:
+            if tok not in blocked:
+                walk(tokens + (tok,), token_ids + (i,), logp + logps[tok], child_coverage)
 
-    walk((), 0.0, np.zeros(model.t_x))
-    if best is None:
-        raise RuntimeError("no finished sequence exists")
-    hyp = best[1]
+    walk((), (), 0.0, (0.0,) * model.t_x)
+    hyp = best[1]  # set: every sequence of one content token or more finishes
     return DecodeResult(hyp.tokens, final_score(hyp, cfg), hyp)

@@ -37,8 +37,9 @@ class ScoreTable:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation; zero variance on either side, or a sum or
-    variance that is not finite, is an error."""
+    """Product-moment correlation; zero variance on either side, a sum or
+    variance that is not finite, or a product of the variances that
+    underflows to 0 or overflows, is an error."""
     if len(x) != len(y):
         raise StatsError("inputs must have equal length")
     if len(x) < 2:
@@ -60,6 +61,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise StatsError("undefined correlation: an input has zero variance")
     if var_x * var_y == 0.0:
         raise StatsError("undefined correlation: the product of the variances underflows to 0")
+    if not math.isfinite(var_x * var_y):  # r would read as 0
+        raise StatsError("the product of the variances overflows")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, r))
 

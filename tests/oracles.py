@@ -231,17 +231,126 @@ def four_block_finite_difference_check(states, params, targets, step: float = 1e
     return max(errors)
 
 
+def frozen_coverage_penalty(coverage, beta: float) -> float:
+    """The coverage penalty as numpy computed it."""
+    cov = np.asarray(coverage, dtype=float)
+    if cov.size and cov.min() < 0:
+        raise ValueError("coverage entries must be non-negative")
+    return float(beta * (-cov.size + np.maximum(cov, 1.0).sum()))
+
+
+def frozen_entity_penalty(coverage, saliency, gamma: float) -> float:
+    """The entity penalty as numpy computed it."""
+    cov = np.asarray(coverage, dtype=float)
+    sal = np.asarray(saliency, dtype=float)
+    if cov.shape != sal.shape:
+        raise ValueError(
+            f"coverage and saliency lengths differ: {cov.shape} vs {sal.shape}"
+        )
+    return float(gamma * np.maximum(sal - cov, 0.0).sum())
+
+
+def frozen_attention_row(prefix, attn, t_x: int):
+    """An attention row parsed and checked by numpy, as a float64 array."""
+    from apes_eval.decode import PROB_TOL, ModelError
+
+    row = np.asarray(attn, dtype=float)
+    if row.shape != (t_x,):
+        raise ModelError(f"attention row for prefix {prefix} must have length {t_x}")
+    if not (row.min() >= 0 and abs(float(row.sum()) - 1.0) <= PROB_TOL):  # NaN fails
+        raise ModelError(
+            f"attention row for prefix {prefix} must be non-negative and sum to 1"
+        )
+    return row
+
+
 def stepwise_final_score(hyp, cfg) -> float:
-    """The full penalty score, subtracting each penalty in turn and the
-    entity penalty only when gamma > 0."""
-    from apes_eval.decode import coverage_penalty, entity_penalty, length_penalty
+    """The full penalty score on the numpy penalties, subtracting each
+    penalty in turn and the entity penalty only when gamma > 0."""
+    from apes_eval.decode import length_penalty
 
     if not hyp.finished:
         raise ValueError("final_score applies to finished hypotheses only")
     if cfg.gamma > 0 and cfg.saliency is None:
         raise ValueError("gamma > 0 requires a saliency vector")
     score = hyp.logp / length_penalty(len(hyp.tokens), cfg.alpha)
-    score -= coverage_penalty(hyp.coverage, cfg.beta)
+    score -= frozen_coverage_penalty(hyp.coverage, cfg.beta)
     if cfg.gamma > 0:
-        score -= entity_penalty(hyp.coverage, cfg.saliency, cfg.gamma)
+        score -= frozen_entity_penalty(hyp.coverage, cfg.saliency, cfg.gamma)
     return score
+
+
+def frozen_score_breakdown(hyp, cfg) -> dict[str, float]:
+    """score_breakdown on the numpy penalties."""
+    from apes_eval.decode import length_penalty
+
+    lp = length_penalty(len(hyp.tokens), cfg.alpha)
+    cp = frozen_coverage_penalty(hyp.coverage, cfg.beta)
+    ep = (
+        frozen_entity_penalty(hyp.coverage, cfg.saliency, cfg.gamma)
+        if cfg.gamma > 0 and cfg.saliency is not None
+        else 0.0
+    )
+    return {"logp": hyp.logp, "lp": lp, "cp": cp, "ep": ep}
+
+
+def frozen_final_score(hyp, cfg) -> float:
+    if not hyp.finished:
+        raise ValueError("final_score applies to finished hypotheses only")
+    if cfg.gamma > 0 and cfg.saliency is None:
+        raise ValueError("gamma > 0 requires a saliency vector")
+    parts = frozen_score_breakdown(hyp, cfg)
+    return parts["logp"] / parts["lp"] - parts["cp"] - parts["ep"]
+
+
+def _creates_repeated_trigram(tokens, nxt) -> bool:
+    if len(tokens) < 3:
+        return False
+    new = (tokens[-2], tokens[-1], nxt)
+    return any(tokens[i : i + 3] == new for i in range(len(tokens) - 2))
+
+
+def frozen_beam_search(model, cfg):
+    """Beam search on numpy coverage arrays, building and ranking a
+    Hypothesis per child and recomputing each child's coverage penalty:
+    (tokens, score, hypothesis) of the best finished hypothesis."""
+    from apes_eval.decode import Hypothesis
+
+    ids = {tok: i for i, tok in enumerate(model.vocab)}
+    content = [tok for tok in model.vocab if tok != model.eos]
+
+    def id_key(tokens):
+        return tuple(ids[t] for t in tokens)
+
+    def rank(h):
+        return -(h.logp - frozen_coverage_penalty(h.coverage, cfg.beta)), id_key(h.tokens)
+
+    beams = [Hypothesis((), 0.0, np.zeros(model.t_x), False)]
+    finished = []
+    exhausted = False
+
+    for _ in range(cfg.max_len):
+        candidates = []
+        for hyp in beams:
+            logps, attn = model.step(hyp.tokens)
+            if hyp.tokens:
+                finished.append(
+                    Hypothesis(hyp.tokens, hyp.logp + logps[model.eos], hyp.coverage, True)
+                )
+            for tok in content:
+                if cfg.block_repeated_trigrams and _creates_repeated_trigram(hyp.tokens, tok):
+                    continue
+                candidates.append(
+                    Hypothesis(hyp.tokens + (tok,), hyp.logp + logps[tok], hyp.coverage + attn, False)
+                )
+        if not candidates:
+            exhausted = True
+            break
+        candidates.sort(key=rank)
+        beams = candidates[: cfg.beam_width]
+
+    if not exhausted:
+        finished.extend(Hypothesis(h.tokens, h.logp, h.coverage, True) for h in beams)
+
+    best = min(finished, key=lambda h: (-frozen_final_score(h, cfg), id_key(h.tokens)))
+    return best.tokens, frozen_final_score(best, cfg), best

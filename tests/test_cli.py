@@ -168,6 +168,25 @@ class TestInputBoundary:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("field", ["answer", "candidate"])
+    def test_question_entity_outside_the_table_exit_one(self, tmp_path, capsys, field):
+        # such a question used to be scored: @entity9 on a document without
+        # it read as a wrong answer, exit 0
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        rows = [json.loads(l) for l in open(questions_path)]
+        rows[3]["candidates"].append("@entity99")
+        if field == "answer":
+            rows[3]["answer"] = "@entity99"
+        path = write_jsonl(tmp_path / "q.jsonl", rows)
+        argv = ["evaluate", "--corpus", corpus_path, "--sys", sys_path, "--questions", path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: question {rows[3]['qid']!r}: '@entity99' is not an entity "
+            f"of document {rows[3]['doc_id']!r}\n"
+        )
+
 
 class TestEvaluate:
     def test_reference_as_system_oracle_is_perfect(self, tmp_path):
@@ -606,6 +625,28 @@ class TestDecodeDemo:
         assert captured.err.startswith(f"error: {path}: ")
         assert "Traceback" not in captured.err
 
+    def test_non_string_winning_token_exit_one(self, tmp_path, capsys):
+        # the winner's tokens are joined for printing; an int token used to
+        # end in a TypeError traceback
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": [1, 2, "</s>"], "eos": "</s>", "t_x": 1}))
+        assert main(["decode-demo", str(path), "--gamma", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the winning sequence holds the non-string token 1\n"
+
+    @pytest.mark.parametrize(
+        "vocab, eos", [(["a", "b", 0], 0), (["a", 7, "</s>"], "</s>")], ids=["int eos", "int loses"]
+    )
+    def test_non_string_token_that_never_wins_still_runs(self, tmp_path, capsys, vocab, eos):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"vocab": vocab, "eos": eos, "t_x": 1}))
+        assert main(["decode-demo", str(path), "--gamma", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "tokens: a\nscore: -2.197225\nlogp: -2.197225\n"
+            "lp: 1.000000\ncp: 0.000000\nep: 0.000000\n"
+        )
+
     def test_minus_infinity_logp_still_loads(self, tmp_path, capsys):
         # a -Infinity log-probability is a probability of 0, a valid distribution
         path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))
@@ -687,9 +728,14 @@ class TestCorrelate:
             ("x,1e308,2\ny,1e308,1\nz,3,1\n", "a vs b: sums and variances must be finite"),
             # the product of the variances underflowed to 0: a ZeroDivisionError traceback
             ("x,1e-160,2e-160\ny,-1e-160,1e-160\nz,3e-160,5e-160\n", "a vs b: undefined correlation"),
+            # the product of two finite variances overflowed and r read as -0.000000, exit 0
+            ("x,1e80,1e80\ny,-1e80,2e80\nz,3e80,5e79\n", "a vs b: the product of the variances overflows"),
             ("x,1,2\ny," + "1" * 131073 + ",1\nz,3,1\n", "scores.csv:3: field larger than field limit"),
         ],
-        ids=["nan", "inf", "variance overflow", "sum overflow", "variance underflow", "long field"],
+        ids=[
+            "nan", "inf", "variance overflow", "sum overflow", "variance underflow",
+            "variance product overflow", "long field",
+        ],
     )
     def test_unusable_scores_exit_one(self, tmp_path, capsys, rows, message):
         scores = tmp_path / "scores.csv"
@@ -739,6 +785,24 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_decode_demo_leaves_numpy_unloaded(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"vocab": ["a", "b", "</s>"], "eos": "</s>", "t_x": 2}))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        probe = textwrap.dedent(
+            f"""
+            import sys
+            from apes_eval.cli import main
+            rc = main(["decode-demo", {str(model)!r}, "--gamma", "0", "--out", {str(tmp_path / "out.txt")!r}])
+            print(rc, "numpy" in sys.modules)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -11,6 +11,8 @@ from apes_eval.decode import (
     ModelError,
     PenaltyConfig,
     TableModel,
+    _attention_row,
+    _sum,
     beam_search,
     coverage_penalty,
     entity_penalty,
@@ -20,7 +22,14 @@ from apes_eval.decode import (
     load_model,
     score_breakdown,
 )
-from oracles import stepwise_final_score
+from oracles import (
+    frozen_attention_row,
+    frozen_beam_search,
+    frozen_coverage_penalty,
+    frozen_entity_penalty,
+    frozen_score_breakdown,
+    stepwise_final_score,
+)
 
 EOS = "</s>"
 
@@ -249,7 +258,6 @@ class TestBeamSearch:
             )
             result = beam_search(model, cfg)
             assert result.tokens == ("a", "b", "a")
-            assert not result.warning
 
     def test_trigram_blocking_prunes_repeats(self):
         # unconstrained argmax repeats the trigram (a, a, a)
@@ -375,3 +383,160 @@ class TestExhaustive:
         model = TableModel([*"abcdefgh", EOS], EOS, 1, {})
         with pytest.raises(ValueError, match="search space"):
             exhaustive_search(model, PenaltyConfig(gamma=0.0, max_len=8, beam_width=1))
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit up to the NaN payload: ==, NaN with NaN, and the
+    sign of a zero."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def partial_table_model(rng, n_content, t_x, depth):
+    """A random model listing every prefix up to `depth`; longer prefixes
+    fall back to the uniform step, so scores can tie and id tuples decide."""
+    vocab = [f"t{i}" for i in range(n_content)] + [EOS]
+    steps = {}
+    frontier = [()]
+    for _ in range(depth + 1):
+        for prefix in frontier:
+            probs = np.exp(rng.standard_normal(len(vocab)))
+            probs /= probs.sum()
+            attn = rng.random(t_x) + 1e-3
+            attn /= attn.sum()
+            steps[prefix] = (
+                {tok: float(math.log(p)) for tok, p in zip(vocab, probs)},
+                [float(x) for x in attn],
+            )
+        frontier = [p + (tok,) for p in frontier for tok in vocab[:-1]]
+    return TableModel(vocab, EOS, t_x, steps, [float(x) for x in rng.random(t_x)])
+
+
+class TestNumpyOracle:
+    """The pure-float search, penalties and row parsing equal their frozen
+    numpy versions in tests/oracles.py bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.sampled_from([1, 2, 3, 7, 8, 9, 16, 20, 129, 300]),
+        st.integers(0, 2),
+        st.integers(1, 8),
+        st.integers(1, 7),
+        st.booleans(),
+        st.sampled_from([0.0, 0.5, 4.0]),
+        st.floats(0, 2),
+        st.floats(0, 2),
+    )
+    def test_beam_search_equals_numpy_beam_search(
+        self, seed, n_content, t_x, depth, width, max_len, block, gamma, alpha, beta
+    ):
+        model = partial_table_model(np.random.default_rng(seed), n_content, t_x, depth)
+        cfg = PenaltyConfig(
+            alpha=alpha, beta=beta, gamma=gamma, beam_width=width, max_len=max_len,
+            block_repeated_trigrams=block, saliency=model.saliency,
+        )
+        got = beam_search(model, cfg)
+        tokens, score, hyp = frozen_beam_search(model, cfg)
+        assert got.tokens == tokens
+        assert got.score == score
+        assert score_breakdown(got.hypothesis, cfg) == frozen_score_breakdown(hyp, cfg)
+        assert got.hypothesis.coverage == tuple(hyp.coverage.tolist())
+
+    def test_sum_equals_numpy_at_every_length(self):
+        rng = np.random.default_rng(11)
+        for n in range(401):
+            for values in (rng.random(n), rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)):
+                assert same_float(_sum(values.tolist()), float(values.sum()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1, 1),
+                st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+            ),
+            max_size=400,
+        )
+    )
+    def test_sum_equals_numpy(self, values):
+        with np.errstate(all="ignore"):
+            want = float(np.asarray(values, dtype=float).sum())
+        assert same_float(_sum(values), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(), st.floats(0, 3)), min_size=1, max_size=140).flatmap(
+            lambda cov: st.tuples(
+                st.just(cov),
+                st.lists(st.floats(0, 1), min_size=len(cov), max_size=len(cov)),
+            )
+        ),
+        st.floats(0, 2),
+    )
+    def test_penalties_equal_numpy(self, vectors, weight):
+        coverage, saliency = vectors
+        with np.errstate(all="ignore"):
+            try:
+                want = frozen_coverage_penalty(coverage, weight)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    coverage_penalty(coverage, weight)
+            else:
+                assert same_float(coverage_penalty(coverage, weight), want)
+            want = frozen_entity_penalty(coverage, saliency, weight)
+        assert same_float(entity_penalty(coverage, saliency, weight), want)
+
+    def test_entity_penalty_length_message(self):
+        with pytest.raises(ValueError, match=r"^coverage and saliency lengths differ: \(3,\) vs \(2,\)$"):
+            entity_penalty([0.1, 0.2, 0.3], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match=r"\(3,\) vs \(2,\)$"):
+            frozen_entity_penalty([0.1, 0.2, 0.3], [0.5, 0.5], 1.0)
+
+    @settings(max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(
+                st.recursive(
+                    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                    max_leaves=8,
+                ),
+                st.integers(1, 4),
+            ),
+            # rows of t_x entries summing to 1, in the forms JSON can write them
+            st.lists(st.floats(0.01, 1), min_size=1, max_size=9).flatmap(
+                lambda parts: st.tuples(
+                    st.lists(
+                        st.sampled_from([float, str, lambda x: f" {x} ", lambda x: None, bool]),
+                        min_size=len(parts), max_size=len(parts),
+                    ).map(lambda forms: [f(x / math.fsum(parts)) for f, x in zip(forms, parts)]),
+                    st.just(len(parts)),
+                )
+            ),
+            st.tuples(
+                st.lists(
+                    st.sampled_from([True, False, 0, 1, "1", "0", "1_0", "1e400", "nan", None, "-0"]),
+                    max_size=3,
+                ),
+                st.integers(1, 3),
+            ),
+        )
+    )
+    def test_attention_row_parse_equals_numpy(self, row_and_length):
+        attn, t_x = row_and_length
+        try:
+            with np.errstate(all="ignore"):
+                want = frozen_attention_row((), attn, t_x)
+        except Exception as exc:  # numpy refuses it: so must the loader, with exit 1
+            with pytest.raises((ModelError, OverflowError, TypeError, ValueError)) as got:
+                _attention_row((), attn, t_x)
+            flat = isinstance(attn, list) and not any(isinstance(x, (list, dict)) for x in attn)
+            if isinstance(exc, ModelError) and flat:  # a null entry keeps its message
+                assert type(got.value) is ModelError and str(got.value) == str(exc)
+        else:
+            assert _attention_row((), attn, t_x) == tuple(want.tolist())

@@ -43,6 +43,11 @@ class TestPearson:
         with pytest.raises(StatsError, match="sums and variances must be finite"):
             pearson(x, [2.0, 1.0, 5.0])
 
+    def test_variance_product_overflow_is_error(self):
+        # each variance is finite, their product is not; r used to read as -0.0
+        with pytest.raises(StatsError, match="product of the variances overflows"):
+            pearson([1e80, -1e80, 3e80], [1e80, 2e80, 5e79])
+
     def test_length_checks(self):
         with pytest.raises(StatsError):
             pearson([1], [1])
