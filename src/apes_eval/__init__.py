@@ -2,46 +2,9 @@
 readers, the question-answering accuracy metric (APES), a from-scratch
 ROUGE implementation, penalty-aware beam search, and saliency-attention
 loss kernels.
+
+The API is the submodules (``apes_eval.corpus``, ``apes_eval.rouge``, ...);
+this package imports none of them, so each command loads only what it runs.
 """
 
-from .apes import ApesReport, EntityStats, entity_stats, score_apes
-from .corpus import (
-    Document,
-    EntityTable,
-    SystemSummary,
-    anonymize,
-    de_anonymize,
-    detect_entities_heuristic,
-    tokenize,
-)
-from .qgen import ClozeQuestion, generate_questions
-from .reader import ReaderAnswer, ReaderRequest, answer_lexical, answer_oracle
-from .rouge import RougeConfig, RougeScore, rouge_l, rouge_n, rouge_su
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApesReport",
-    "ClozeQuestion",
-    "Document",
-    "EntityStats",
-    "EntityTable",
-    "ReaderAnswer",
-    "ReaderRequest",
-    "RougeConfig",
-    "RougeScore",
-    "SystemSummary",
-    "anonymize",
-    "answer_lexical",
-    "answer_oracle",
-    "de_anonymize",
-    "detect_entities_heuristic",
-    "entity_stats",
-    "generate_questions",
-    "rouge_l",
-    "rouge_n",
-    "rouge_su",
-    "score_apes",
-    "tokenize",
-    "__version__",
-]

@@ -10,6 +10,11 @@ order, so reruns on identical inputs are byte-identical. The
 APES_EVAL_THREADS environment variable is validated (an integer, or exit
 1), but readers answer the questions one by one in request order, so it
 never changes output bytes.
+
+Each handler imports the package modules it runs, so a call loads (and,
+without bytecode, compiles) only those. Handlers call load_corpus,
+load_summaries, _resolve_reader and dumps_report through this module's
+globals, which is where the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import json
 import logging
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import apes, qgen, reader, rouge, stats
-from .corpus import Document, SystemSummary, entity_token, load_corpus, load_summaries
+if TYPE_CHECKING:
+    from .corpus import Document, SystemSummary
+    from .qgen import ClozeQuestion
+    from .reader import BatchReader
 
 log = logging.getLogger(__name__)
 
@@ -72,8 +79,22 @@ def _threads() -> int:
     return max(1, value)
 
 
-def _resolve_reader(name: str, command: str | None, threads: int) -> reader.BatchReader:
+def load_corpus(path: str) -> list[Document]:
+    from . import corpus
+
+    return corpus.load_corpus(path)
+
+
+def load_summaries(path: str) -> list[SystemSummary]:
+    from . import corpus
+
+    return corpus.load_summaries(path)
+
+
+def _resolve_reader(name: str, command: str | None, threads: int) -> BatchReader:
     """The batch reader for --reader; `threads` is validated but not used."""
+    from . import reader
+
     if name == "oracle":
         return reader.batch_reader(reader.answer_oracle)
     if name == "lexical":
@@ -89,6 +110,8 @@ def _resolve_reader(name: str, command: str | None, threads: int) -> reader.Batc
 
 
 def cmd_qgen(args: argparse.Namespace) -> int:
+    from . import qgen
+
     docs = load_corpus(args.corpus)
     lines = []
     empty: list[str] = []
@@ -124,11 +147,13 @@ def _references(
 
 
 def _check_question_entities(
-    docs: Sequence[Document], questions: Sequence[qgen.ClozeQuestion], path: str
+    docs: Sequence[Document], questions: Sequence[ClozeQuestion], path: str
 ) -> None:
     """Every candidate of a question (the answer is one of them) must be an
     @entityN id of its document's entity table. Questions on unknown
     documents are left to score_apes, which refuses them."""
+    from .corpus import entity_token
+
     entities = {doc.id: {entity_token(i) for i in doc.table.entity_ids} for doc in docs}
     for q in questions:
         known = entities.get(q.doc_id)
@@ -145,6 +170,8 @@ def _rouge_block(
     references: dict[str, list[tuple[str, ...]]],
     multi_ref: str = "max",
 ) -> dict[str, dict[str, float]]:
+    from . import rouge
+
     by_doc = {s.doc_id: s for s in summaries}
     per_variant: dict[str, list[rouge.RougeScore]] = {v: [] for v in rouge.REPORT_VARIANTS}
     for doc in sorted(docs, key=lambda d: d.id):
@@ -171,12 +198,14 @@ def _rouge_block(
 def build_report(
     docs: Sequence[Document],
     summaries: Sequence[SystemSummary],
-    questions: Sequence[qgen.ClozeQuestion],
-    batch: reader.BatchReader,
+    questions: Sequence[ClozeQuestion],
+    batch: BatchReader,
     references: dict[str, list[tuple[str, ...]]],
     multi_ref: str = "max",
 ) -> dict:
     """The joint ROUGE + APES report for one system."""
+    from . import apes
+
     apes_report = apes.score_apes(docs, summaries, questions, batch)
     return {
         "apes": {
@@ -199,6 +228,8 @@ def build_report(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import qgen
+
     docs = load_corpus(args.corpus)
     summaries = load_summaries(args.sys)
     questions = qgen.load_questions(args.questions)
@@ -214,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_decode_demo(args: argparse.Namespace) -> int:
-    from . import decode  # imported on use: its import takes about 10 ms
+    from . import decode
 
     model = decode.load_model(args.model)
     cfg = decode.PenaltyConfig(
@@ -261,6 +292,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from . import stats
+
     table = stats.read_score_csv(args.scores)
     if args.grouping:
         table = stats.level_aggregate(table, stats.read_grouping_csv(args.grouping))

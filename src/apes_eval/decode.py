@@ -75,6 +75,9 @@ class PenaltyConfig:
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("alpha, beta, gamma must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_len < 1:

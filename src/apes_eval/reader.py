@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import shlex
-import subprocess
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -108,6 +106,9 @@ def run_external_reader(
     order is free. Missing qids score as unanswered with a warning;
     malformed output, a qid answered twice or a nonzero exit aborts the run.
     """
+    import shlex
+    import subprocess
+
     payload = "".join(
         json.dumps(request_to_json(r), ensure_ascii=False) + "\n" for r in requests
     )

@@ -662,6 +662,34 @@ class TestDecodeDemo:
             "lp: 1.148820\ncp: 0.500000\nep: 0.000000\n"
         )
 
+    @pytest.fixture(scope="class")
+    def toy_model(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("toy") / "toy.json"
+        script = SRC.parent / "scripts" / "make_toy_model.py"
+        subprocess.run(
+            [sys.executable, str(script), "--out", str(out), "--max-len", "4"],
+            check=True, capture_output=True, timeout=60,
+        )
+        return str(out)
+
+    # Each of these exited 0 with a NaN or infinite score, or a winner
+    # that ignored the saliency charge.
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--alpha", "nan"], "alpha"),
+            (["--beta", "inf", "--gamma", "0"], "beta"),
+            (["--gamma", "nan"], "gamma"),
+            (["--gamma", "inf"], "gamma"),
+        ],
+        ids=["alpha nan", "beta inf", "gamma nan", "gamma inf"],
+    )
+    def test_non_finite_penalty_exit_one(self, toy_model, capsys, flags, name):
+        assert main(["decode-demo", toy_model, "--max-len", "4", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be finite")
+
 
 class TestGradcheck:
     def test_default_passes(self, capsys):
@@ -776,33 +804,76 @@ class TestCorrelate:
         assert "Traceback" not in err
 
 
+def run_probe(argv, tmp_path):
+    """Run `main(argv)` in a fresh interpreter, or only import the CLI when
+    argv is None; return the exit code and the module names loaded after it."""
+    probe = tmp_path / "probe.json"
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        from apes_eval.cli import main
+        argv = {argv!r}
+        rc = None if argv is None else main(argv)
+        with open({str(probe)!r}, "w") as handle:
+            json.dump([rc, sorted(sys.modules)], handle)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(probe.read_text())
+    return rc, set(modules)
+
+
+def package_modules(modules):
+    return {m for m in modules if m == "apes_eval" or m.startswith("apes_eval.")}
+
+
 class TestUsage:
-    def test_import_leaves_numpy_unloaded(self):
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        probe = "import sys, apes_eval.cli; print('numpy' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+    """Each subcommand imports the package modules it runs and no others."""
+
+    def test_import_leaves_numpy_unloaded(self, tmp_path):
+        _, modules = run_probe(None, tmp_path)
+        assert "numpy" not in modules
+
+    def test_import_loads_only_the_cli(self, tmp_path):
+        _, modules = run_probe(None, tmp_path)
+        assert package_modules(modules) == {"apes_eval", "apes_eval.cli"}
 
     def test_decode_demo_leaves_numpy_unloaded(self, tmp_path):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"vocab": ["a", "b", "</s>"], "eos": "</s>", "t_x": 2}))
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        probe = textwrap.dedent(
-            f"""
-            import sys
-            from apes_eval.cli import main
-            rc = main(["decode-demo", {str(model)!r}, "--gamma", "0", "--out", {str(tmp_path / "out.txt")!r}])
-            print(rc, "numpy" in sys.modules)
-            """
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 False"
+        argv = ["decode-demo", str(model), "--gamma", "0", "--out", str(tmp_path / "out.txt")]
+        rc, modules = run_probe(argv, tmp_path)
+        assert rc == 0
+        assert "numpy" not in modules
+        assert package_modules(modules) == {"apes_eval", "apes_eval.cli", "apes_eval.decode"}
+
+    def test_correlate_loads_only_stats(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("unit,a,b\nx,1,2\ny,2,1\nz,3,5\n")
+        rc, modules = run_probe(["correlate", str(scores), "--out", str(tmp_path / "m.csv")], tmp_path)
+        assert rc == 0
+        assert package_modules(modules) == {"apes_eval", "apes_eval.cli", "apes_eval.stats"}
+
+    def test_qgen_loads_only_corpus_and_qgen(self, tmp_path):
+        corpus_path = write_jsonl(tmp_path / "corpus.jsonl", [FIG_DOC])
+        argv = ["qgen", "--corpus", corpus_path, "--out", str(tmp_path / "q.jsonl")]
+        rc, modules = run_probe(argv, tmp_path)
+        assert rc == 0
+        assert package_modules(modules) == {
+            "apes_eval", "apes_eval.cli", "apes_eval.corpus", "apes_eval.qgen"
+        }
+
+    def test_lexical_evaluate_leaves_subprocess_unloaded(self, tmp_path):
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path, n_docs=2)
+        argv = ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
+                "--questions", questions_path, "--out", str(tmp_path / "r.json")]
+        rc, modules = run_probe(argv, tmp_path)
+        assert rc == 0
+        assert "subprocess" not in modules and "shlex" not in modules
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1

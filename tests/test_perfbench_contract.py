@@ -9,18 +9,22 @@ runs small CLI calls under the wrappers and checks the spans.
 
 import json
 import pathlib
+import shlex
+import sys
 import types
 
 from apes_eval import cli, synth
 from apes_eval.corpus import document_to_json
 from conftest import write_jsonl
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+STUB_READER = PERFBENCH / "stub_reader.py"
 
-# Spans of SPAN_METRICS that no call below reaches: the CLI never calls
+# The span of SPAN_METRICS that no call below reaches: the CLI never calls
 # the public apes.entity_stats (score_apes computes the statistics from
-# summaries it has already anonymised), and no call uses the external reader.
-NOT_REACHED = {"apes.entity_stats", "reader.external"}
+# summaries it has already anonymised).
+NOT_REACHED = {"apes.entity_stats"}
 
 
 def load_tracing():
@@ -42,12 +46,17 @@ def test_traced_calls_record_every_reached_layer(tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"vocab": ["a", "b", "</s>"], "eos": "</s>", "t_x": 2}))
     decode = ["decode-demo", str(model), "--max-len", "3", "--gamma", "0"]
+    evaluate = ["evaluate", "--corpus", corpus, "--sys", summaries, "--questions", questions]
     # Call names matter: the beam-search span is named after the call's
     # width suffix, as in the benchmark's plan.
     calls = [
         ("qgen", ["qgen", "--corpus", corpus, "--out", questions]),
-        ("evaluate.gold.lexical", ["evaluate", "--corpus", corpus, "--sys", summaries,
-                                   "--questions", questions, "--out", str(tmp_path / "r.json")]),
+        ("evaluate.gold.lexical", evaluate + ["--out", str(tmp_path / "r.json")]),
+        # reaches the reader.external span through cli._resolve_reader
+        ("evaluate.gold.external", evaluate + [
+            "--reader", "external", "--reader-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(STUB_READER))}",
+            "--out", str(tmp_path / "r_external.json"),
+        ]),
         ("decode.w4", decode + ["--width", "4"]),
         ("decode.w8", decode + ["--width", "8"]),
         ("decode.small0.exhaustive", decode + ["--exhaustive"]),
