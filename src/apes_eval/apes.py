@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import Document, SystemSummary, anonymize_free_text, parse_entity_token
 from .qgen import ClozeQuestion
@@ -109,6 +109,7 @@ def score_apes(
     summaries: Iterable[SystemSummary],
     questions: Sequence[ClozeQuestion],
     reader: BatchReader,
+    meanwhile: Callable[[], None] | None = None,
 ) -> ApesReport:
     """Answer every question from its document's summary and tally accuracy.
 
@@ -117,6 +118,11 @@ def score_apes(
     average is the mean of per-document fractions over documents with at
     least one question. The entity statistics read the same anonymized
     summaries as the reader.
+
+    `meanwhile` runs after the requests are handed to the reader and
+    before its answers are read, so it overlaps a reader that answers in
+    another process. The answers are read even when it raises, and a
+    reader error then wins over its error.
     """
     docs = _doc_index(documents)
     contexts = _summary_index(summaries, docs)
@@ -129,10 +135,15 @@ def score_apes(
             ", ".join(skipped_docs),
         )
 
-    answers = reader([request for _, request in asked])
-    if len(answers) != len(asked):
-        # an internal invariant (every reader answers each request once), so exit 2
-        raise AssertionError("reader returned a different number of answers than requests")
+    pending = reader([request for _, request in asked])
+    try:
+        if meanwhile is not None:
+            meanwhile()
+    finally:
+        answers = list(pending)
+        if len(answers) != len(asked):
+            # an internal invariant (every reader answers each request once), so exit 2
+            raise AssertionError("reader returned a different number of answers than requests")
 
     per_doc: dict[str, list[int]] = {}
     for (question, _), answer in zip(asked, answers):

@@ -102,7 +102,7 @@ def _resolve_reader(name: str, command: str | None, threads: int) -> BatchReader
     if name == "external":
         if not command:
             raise CliError("--reader external requires --reader-cmd")
-        return functools.partial(reader.run_external_reader, command=command)
+        return functools.partial(reader.start_external_reader, command=command)
     raise CliError(f"unknown reader {name!r}")
 
 
@@ -203,10 +203,19 @@ def build_report(
     references: dict[str, list[tuple[str, ...]]],
     multi_ref: str = "max",
 ) -> dict:
-    """The joint ROUGE + APES report for one system."""
+    """The joint ROUGE + APES report for one system.
+
+    ROUGE is computed while the reader answers: an external reader works in
+    its own process meanwhile; the in-process readers answer before it.
+    """
     from . import apes
 
-    apes_report = apes.score_apes(docs, summaries, questions, batch)
+    rouge_block: dict[str, dict[str, float]] = {}
+
+    def compute_rouge() -> None:
+        rouge_block.update(_rouge_block(docs, summaries, references, multi_ref))
+
+    apes_report = apes.score_apes(docs, summaries, questions, batch, meanwhile=compute_rouge)
     return {
         "apes": {
             "overall": apes_report.overall,
@@ -216,7 +225,7 @@ def build_report(
                 for doc_id, (c, t) in apes_report.per_doc.items()
             },
         },
-        "rouge": _rouge_block(docs, summaries, references, multi_ref),
+        "rouge": rouge_block,
         "entity_stats": {
             "avg_entities": apes_report.entities.avg_entities,
             "avg_salient_entities": apes_report.entities.avg_salient_entities,

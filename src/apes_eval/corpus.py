@@ -168,17 +168,22 @@ class EntityTable:
 def find_mentions(tokens: Sequence[str], table: EntityTable) -> list[Mention]:
     """Locate table surfaces in an unannotated token sequence.
 
-    Case-insensitive, longest surface first, left to right, non-overlapping.
-    Used to anonymize system summaries against a document's entity table.
+    Case-insensitive, longest surface first (then lowest entity id), left to
+    right, non-overlapping. Used to anonymize system summaries against a
+    document's entity table. Surfaces are indexed by their first lowercased
+    token, so each position tries only the surfaces that can start there
+    (token-level Aho-Corasick, 1975, without failure links).
     """
     index = table.surface_index()
-    surfaces = sorted(index, key=lambda s: (-len(s), index[s]))
+    by_first: dict[str, list[tuple[str, ...]]] = {}
+    for surf in sorted(index, key=lambda s: (-len(s), index[s])):
+        by_first.setdefault(surf[0], []).append(surf)
     lowered = [t.lower() for t in tokens]
     found: list[Mention] = []
     i = 0
     while i < len(tokens):
         hit = None
-        for surf in surfaces:
+        for surf in by_first.get(lowered[i], ()):
             j = i + len(surf)
             if j <= len(tokens) and tuple(lowered[i:j]) == surf:
                 hit = Mention(index[surf], i, j, tuple(tokens[i:j]))

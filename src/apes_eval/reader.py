@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import PLACEHOLDER, parse_entity_token
+
+if TYPE_CHECKING:
+    import subprocess
 
 log = logging.getLogger(__name__)
 
@@ -36,7 +39,7 @@ class ReaderAnswer:
     answer: str | None
 
 
-BatchReader = Callable[[Sequence[ReaderRequest]], list[ReaderAnswer]]
+BatchReader = Callable[[Sequence[ReaderRequest]], Sequence[ReaderAnswer]]
 
 
 def answer_oracle(request: ReaderRequest) -> ReaderAnswer:
@@ -98,34 +101,94 @@ def request_to_json(request: ReaderRequest) -> dict:
 def run_external_reader(
     requests: Sequence[ReaderRequest], command: str
 ) -> list[ReaderAnswer]:
-    """Batch-answer via a subprocess speaking line-delimited JSON.
+    """Batch-answer via a subprocess speaking line-delimited JSON; waits for it.
+
+    See :func:`start_external_reader` for the protocol and its checks.
+    """
+    return list(start_external_reader(requests, command))
+
+
+def start_external_reader(
+    requests: Sequence[ReaderRequest], command: str
+) -> Sequence[ReaderAnswer]:
+    """Start an external reader and return its answers, read on first use.
 
     Requests go to the child's stdin as one JSON object per line
     ({"qid", "question", "context", "candidates"}); the child must print
     one {"qid", "answer"} object per line. The join is by qid, so output
-    order is free. Missing qids score as unanswered with a warning;
-    malformed output, a qid answered twice or a nonzero exit aborts the run.
+    order is free. The whole request JSONL sits in an unnamed temporary
+    file that is the child's stdin, so the child never waits on this
+    process for input and the caller can work while it answers.
+
+    The returned sequence waits for the child the first time it is read
+    (length, iteration or index); read it to reap the child. Missing qids
+    score as unanswered with a warning; malformed output, a qid answered
+    twice or a nonzero exit raises ReaderProtocolError at that read. The
+    tail of the stderr of a reader that exits 0 is logged at INFO.
     """
     import shlex
     import subprocess
+    import tempfile
 
     payload = "".join(
         json.dumps(request_to_json(r), ensure_ascii=False) + "\n" for r in requests
     )
-    proc = subprocess.run(
-        shlex.split(command),
-        input=payload,
-        capture_output=True,
-        text=True,
-    )
+    # Text mode encodes as subprocess's own text-mode stdin would.
+    with tempfile.TemporaryFile("w+") as stdin:
+        stdin.write(payload)
+        stdin.seek(0)
+        proc = subprocess.Popen(
+            shlex.split(command),
+            stdin=stdin,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    return _PendingAnswers(requests, command, proc)
+
+
+class _PendingAnswers(Sequence[ReaderAnswer]):
+    """A running external reader's answers; the first read waits for it."""
+
+    def __init__(
+        self, requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[str]
+    ) -> None:
+        self._requests = requests
+        self._command = command
+        self._proc = proc
+        self._answers: list[ReaderAnswer] | None = None
+
+    def _collect(self) -> list[ReaderAnswer]:
+        if self._answers is None:
+            self._answers = _collect_answers(self._requests, self._command, self._proc)
+        return self._answers
+
+    def __len__(self) -> int:
+        return len(self._collect())
+
+    def __getitem__(self, index):
+        return self._collect()[index]
+
+    def __iter__(self):
+        return iter(self._collect())
+
+
+def _collect_answers(
+    requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[str]
+) -> list[ReaderAnswer]:
+    """Wait for the reader, then check and join its answers."""
+    stdout, stderr = proc.communicate()
     if proc.returncode != 0:
         raise ReaderProtocolError(
             f"external reader exited with status {proc.returncode}: "
-            f"{proc.stderr.strip()[:500]}"
+            f"{stderr.strip()[:500]}"
         )
+    tail = stderr.strip()[-500:]
+    if tail:
+        log.info("external reader %s wrote to stderr: %s", command, tail)
 
     by_qid: dict[str, str | None] = {}
-    for lineno, line in enumerate(proc.stdout.splitlines(), start=1):
+    for lineno, line in enumerate(stdout.splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -105,6 +105,31 @@ def brute_rouge_su(cand: Sequence[str], ref: Sequence[str], skip: int):
     return prf(greedy_multiset_overlap(a, b), len(a), len(b))
 
 
+def scan_find_mentions(tokens: Sequence[str], table) -> list:
+    """corpus.find_mentions by trying every surface, longest first then lowest
+    entity id, at each position, left to right."""
+    from apes_eval.corpus import Mention
+
+    index = table.surface_index()
+    surfaces = sorted(index, key=lambda s: (-len(s), index[s]))
+    lowered = [t.lower() for t in tokens]
+    found = []
+    i = 0
+    while i < len(tokens):
+        hit = None
+        for surf in surfaces:
+            j = i + len(surf)
+            if j <= len(tokens) and tuple(lowered[i:j]) == surf:
+                hit = Mention(index[surf], i, j, tuple(tokens[i:j]))
+                break
+        if hit is None:
+            i += 1
+        else:
+            found.append(hit)
+            i = hit.end
+    return found
+
+
 def brute_pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     mx = sum(x) / n

@@ -366,6 +366,78 @@ class TestEvaluate:
         assert "a second time" in err and "line 2" in err
         assert not (tmp_path / "report.json").exists()
 
+    def run_external(self, tmp_path, body, refs_missing_a_document=False):
+        """Run evaluate with the reader script `body`; return its exit code and
+        the report path. With refs_missing_a_document, ROUGE lacks one
+        document's reference and fails while the reader answers."""
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        stub = tmp_path / "reader_stub.py"
+        stub.write_text(textwrap.dedent(body))
+        out = tmp_path / "report.json"
+        argv = [
+            "evaluate",
+            "--corpus", corpus_path,
+            "--sys", sys_path,
+            "--questions", questions_path,
+            "--reader", "external",
+            "--reader-cmd", f"{sys.executable} {stub}",
+            "--out", str(out),
+        ]
+        if refs_missing_a_document:
+            refs = tmp_path / "refs.jsonl"
+            refs.write_text("".join(pathlib.Path(sys_path).read_text().splitlines(True)[1:]))
+            argv += ["--refs", str(refs)]
+        return main(argv), out
+
+    def test_external_reader_writing_past_pipe_buffers_finishes(self, tmp_path, caplog):
+        # more than 64 KB on each of stdout and stderr: a reader that waited
+        # on a full pipe while evaluate waited on the reader would hang
+        body = """
+            import json, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({"qid": req["qid"], "answer": req["candidates"][0]}))
+            print(" " * 70_000)
+            sys.stderr.write("x" * 70_000)
+            """
+        with caplog.at_level("INFO"):
+            rc, out = self.run_external(tmp_path, body)
+        assert rc == 0
+        assert json.loads(out.read_text())["n_questions"] > 0
+        assert "wrote to stderr: " + "x" * 500 in caplog.text
+
+    def test_reader_error_wins_over_rouge_error(self, tmp_path, capsys):
+        rc, out = self.run_external(
+            tmp_path, "import sys; sys.stdin.read(); sys.exit(3)", refs_missing_a_document=True
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: external reader exited with status 3")
+        assert "no reference available" not in err
+        assert not out.exists()
+
+    def test_rouge_error_reaps_the_reader(self, tmp_path, capsys):
+        pid_file = tmp_path / "reader.pid"
+        rc, out = self.run_external(
+            tmp_path,
+            f"""
+            import json, os, sys
+            with open({str(pid_file)!r}, "w") as handle:
+                handle.write(str(os.getpid()))
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({{"qid": req["qid"], "answer": None}}))
+            """,
+            refs_missing_a_document=True,
+        )
+        assert rc == 1
+        assert "no reference available" in capsys.readouterr().err
+        # waitpid raises once the child is reaped; a zombie or a running
+        # reader would still be this process's child
+        with pytest.raises(ChildProcessError):
+            os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+        assert not out.exists()
+
     def test_external_requires_command(self, tmp_path, capsys):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         rc = main(
@@ -806,16 +878,19 @@ class TestCorrelate:
 
 def run_probe(argv, tmp_path):
     """Run `main(argv)` in a fresh interpreter, or only import the CLI when
-    argv is None; return the exit code and the module names loaded after it."""
+    argv is None; return the exit code and the names of the modules loaded
+    after start-up (`site` may load some, such as tempfile, before)."""
     probe = tmp_path / "probe.json"
     code = textwrap.dedent(
         f"""
-        import json, sys
+        import sys
+        preloaded = set(sys.modules)
+        import json
         from apes_eval.cli import main
         argv = {argv!r}
         rc = None if argv is None else main(argv)
         with open({str(probe)!r}, "w") as handle:
-            json.dump([rc, sorted(sys.modules)], handle)
+            json.dump([rc, sorted(set(sys.modules) - preloaded)], handle)
         """
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -873,7 +948,7 @@ class TestUsage:
                 "--questions", questions_path, "--out", str(tmp_path / "r.json")]
         rc, modules = run_probe(argv, tmp_path)
         assert rc == 0
-        assert "subprocess" not in modules and "shlex" not in modules
+        assert not {"subprocess", "shlex", "tempfile"} & modules
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -8,9 +8,12 @@ from apes_eval.corpus import (
     anonymize,
     anonymize_free_text,
     build_entity_table,
+    Entity,
+    EntityTable,
     de_anonymize,
     detect_entities_heuristic,
     entity_token,
+    find_mentions,
     load_corpus,
     parse_document,
     parse_entity_token,
@@ -18,6 +21,7 @@ from apes_eval.corpus import (
     tokenize,
 )
 from conftest import FIG_DOC, write_jsonl
+from oracles import scan_find_mentions
 
 
 class TestTokenize:
@@ -149,6 +153,24 @@ def test_anonymize_roundtrip_random_documents(doc_seed, stream_pick):
     tokens = list(streams[stream])
     forward = anonymize(tokens, doc.table, stream)
     assert de_anonymize(forward, doc.table, stream) == tokens
+
+
+# Few distinct words in mixed case, so surfaces overlap, share first
+# tokens, differ only in case and recur across entities.
+_WORDS = st.sampled_from(["a", "A", "b", "B", "c", "ab", "Ab", "d"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.lists(_WORDS, min_size=1, max_size=3), min_size=1, max_size=3), max_size=5),
+    st.lists(_WORDS, max_size=25),
+)
+def test_find_mentions_matches_the_surface_scan(entity_surfaces, tokens):
+    table = EntityTable(
+        [Entity(eid, tuple(map(tuple, surfaces))) for eid, surfaces in enumerate(entity_surfaces)],
+        {},
+    )
+    assert find_mentions(tokens, table) == scan_find_mentions(tokens, table)
 
 
 def test_load_corpus_annotated_and_heuristic(tmp_path, caplog):

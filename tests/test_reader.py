@@ -14,6 +14,7 @@ from apes_eval.reader import (
     answer_oracle,
     request_to_json,
     run_external_reader,
+    start_external_reader,
 )
 
 
@@ -221,6 +222,23 @@ class TestExternalReader:
         )
         with pytest.raises(ReaderProtocolError, match="line 4 answers qid d:2:0 a second time"):
             run_external_reader(_requests(3), _stub(tmp_path, body))
+
+    def test_errors_surface_when_the_answers_are_read(self, tmp_path):
+        pending = start_external_reader(_requests(1), _stub(tmp_path, "import sys; sys.exit(3)"))
+        with pytest.raises(ReaderProtocolError, match="status 3"):
+            len(pending)
+
+    def test_stderr_tail_logged_on_success(self, tmp_path, caplog):
+        body = STUB_FIRST + "sys.stderr.write('HEAD' + 'x' * 600 + 'TAIL')\n"
+        cmd = _stub(tmp_path, body)
+        with caplog.at_level("INFO"):
+            answers = run_external_reader(_requests(1), cmd)
+        assert answers[0].answer == "@entity0"
+        [record] = [r for r in caplog.records if "stderr" in r.getMessage()]
+        assert record.levelname == "INFO"
+        message = record.getMessage()
+        assert cmd in message and message.endswith("x" * 496 + "TAIL")
+        assert "HEAD" not in message
 
     def test_wire_format_excludes_gold(self):
         req = _requests(1)[0]
