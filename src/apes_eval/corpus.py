@@ -1,17 +1,19 @@
-"""Tokenized documents with entity tables and @entityN anonymization.
+"""Tokenized documents with entity tables, and @entityN anonymization of
+system summaries.
 
 A corpus is a set of documents, each holding source tokens, reference
 highlight sentences, and a table of named entities with their mention
 spans. Entity annotations normally arrive with the corpus JSONL; a
-capitalization heuristic fills in when they are absent so the toolkit
-still runs on plain text.
+capitalization heuristic (:func:`build_entity_table`) fills in when they
+are absent so the toolkit still runs on plain text. A system summary is
+anonymized by matching the table's surfaces in its tokens
+(:func:`anonymize_free_text`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -120,12 +122,6 @@ class EntityTable:
     def entity_ids(self) -> list[int]:
         return [e.entity_id for e in self.entities]
 
-    def entity(self, entity_id: int) -> Entity:
-        for ent in self.entities:
-            if ent.entity_id == entity_id:
-                return ent
-        raise CorpusError(f"unknown entity id {entity_id}")
-
     def surface_index(self) -> dict[tuple[str, ...], int]:
         """Lowercased surface -> entity id; first entity wins on collisions."""
         index: dict[tuple[str, ...], int] = {}
@@ -159,7 +155,7 @@ class EntityTable:
                     raise CorpusError(
                         f"mention tokens {m.tokens} do not match {stream!r}[{m.start}:{m.end}]"
                     )
-                if not self.entity(m.entity_id).matches(span):
+                if not self.entities[m.entity_id].matches(span):
                     raise CorpusError(
                         f"mention {span} matches no surface of entity {m.entity_id}"
                     )
@@ -196,49 +192,19 @@ def find_mentions(tokens: Sequence[str], table: EntityTable) -> list[Mention]:
     return found
 
 
-def _splice(tokens: Sequence[str], mentions: Sequence[Mention]) -> list[str]:
+def anonymize_free_text(tokens: Sequence[str], table: EntityTable) -> list[str]:
+    """Anonymize unannotated tokens (e.g. a system summary) by surface matching.
+
+    Each mention :func:`find_mentions` locates becomes its @entityN token;
+    proper nouns absent from the table stay as raw tokens.
+    """
     out: list[str] = []
     pos = 0
-    prev_end = 0
-    for m in sorted(mentions, key=lambda m: m.start):
-        if m.start < prev_end:
-            raise CorpusError("overlapping entity mentions")
-        prev_end = m.end
+    for m in find_mentions(tokens, table):
         out.extend(tokens[pos : m.start])
         out.append(entity_token(m.entity_id))
         pos = m.end
     out.extend(tokens[pos:])
-    return out
-
-
-def anonymize(tokens: Sequence[str], table: EntityTable, stream: str) -> list[str]:
-    """Replace each annotated mention span of a stream with its @entityN token."""
-    return _splice(tokens, table.mentions.get(stream, []))
-
-
-def anonymize_free_text(tokens: Sequence[str], table: EntityTable) -> list[str]:
-    """Anonymize unannotated tokens (e.g. a system summary) by surface matching.
-
-    Proper nouns absent from the table stay as raw tokens.
-    """
-    return _splice(tokens, find_mentions(tokens, table))
-
-
-def de_anonymize(tokens: Sequence[str], table: EntityTable, stream: str) -> list[str]:
-    """Invert :func:`anonymize`, restoring each mention's original tokens."""
-    queues: dict[int, deque[Mention]] = {}
-    for m in table.mentions.get(stream, []):
-        queues.setdefault(m.entity_id, deque()).append(m)
-    out: list[str] = []
-    for tok in tokens:
-        eid = parse_entity_token(tok)
-        if eid is None:
-            out.append(tok)
-            continue
-        queue = queues.get(eid)
-        if not queue:
-            raise CorpusError(f"no recorded mention left for {tok} in {stream!r}")
-        out.extend(queue.popleft().tokens)
     return out
 
 
@@ -304,11 +270,6 @@ def build_entity_table(
     return EntityTable(entities, mentions)
 
 
-def detect_entities_heuristic(tokens: Sequence[str]) -> EntityTable:
-    """Single-stream heuristic detection; mentions land in stream ``source``."""
-    return build_entity_table(tokens, [])
-
-
 # -- documents and JSONL IO ----------------------------------------------
 
 
@@ -340,7 +301,9 @@ def iter_jsonl(path: str) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError also covers an integer past the digit limit, and
+            # RecursionError a line nested past the interpreter's depth
+            except (ValueError, RecursionError) as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path}:{lineno}: expected a JSON object")

@@ -224,12 +224,18 @@ def _attention_row(prefix: tuple[str, ...], attn: Iterable, t_x: int) -> tuple[f
 
 def model_from_dict(obj: dict) -> TableModel:
     try:
-        vocab = list(obj["vocab"])
+        vocab = obj["vocab"]
         eos = obj["eos"]
         t_x = int(obj["t_x"])
         raw_steps = obj.get("steps", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"bad model object: {exc}") from exc
+    # an object or a string would be read as its keys or characters
+    if not isinstance(vocab, list):
+        raise ModelError("vocab must be a JSON array of tokens")
+    saliency = obj.get("saliency")
+    if saliency is not None and not isinstance(saliency, list):
+        raise ModelError("saliency must be a JSON array of numbers or null")
     if not isinstance(raw_steps, dict):
         raise ModelError("steps must be an object mapping prefixes to step entries")
     steps = {}
@@ -239,7 +245,6 @@ def model_from_dict(obj: dict) -> TableModel:
             steps[prefix] = (entry["logp"], entry["attn"])
         except (KeyError, TypeError) as exc:
             raise ModelError(f"bad step entry for prefix {key!r}: {exc}") from exc
-    saliency = obj.get("saliency")
     return TableModel(vocab, eos, t_x, steps, saliency)
 
 
@@ -252,7 +257,7 @@ def load_model(path: str) -> TableModel:
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in corpus.iter_jsonl
             raise ModelError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return model_from_dict(obj)

@@ -8,9 +8,8 @@ trailing terminal punctuation is dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .corpus import (
     PLACEHOLDER,
@@ -96,10 +95,13 @@ def question_to_json(q: ClozeQuestion) -> dict:
     }
 
 
-def write_questions(path: str, questions: Iterable[ClozeQuestion]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for q in questions:
-            handle.write(json.dumps(question_to_json(q), ensure_ascii=False) + "\n")
+def _array(obj: dict, key: str) -> list:
+    """A field that must be a JSON array; an object or string is not read
+    as its keys or characters."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array")
+    return value
 
 
 def load_questions(path: str) -> list[ClozeQuestion]:
@@ -111,9 +113,9 @@ def load_questions(path: str) -> list[ClozeQuestion]:
             q = ClozeQuestion(
                 doc_id=str(obj["doc_id"]),
                 qid=str(obj["qid"]),
-                question=tuple(str(t) for t in obj["question"]),
+                question=tuple(str(t) for t in _array(obj, "question")),
                 answer=str(obj["answer"]),
-                candidates=tuple(str(c) for c in obj["candidates"]),
+                candidates=tuple(str(c) for c in _array(obj, "candidates")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: bad question: {exc}") from exc

@@ -1,5 +1,7 @@
 """Cloze readers: an oracle extractor, a lexical-window baseline, and a
-subprocess protocol for plugging in an external (e.g. neural) reader.
+subprocess protocol for plugging in an external (e.g. neural) reader,
+which :func:`start_external_reader` starts and whose answers are read on
+first use.
 
 All readers consume anonymized contexts and answer with an ``@entityN``
 token from the request's candidate set, or None when they abstain.
@@ -54,16 +56,17 @@ def answer_oracle(request: ReaderRequest) -> ReaderAnswer:
     return ReaderAnswer(request.qid, request.gold if present else None)
 
 
-def answer_lexical(request: ReaderRequest, window: int = 5) -> ReaderAnswer:
+WINDOW = 5  # tokens on each side of a candidate occurrence
+
+
+def answer_lexical(request: ReaderRequest) -> ReaderAnswer:
     """Pick the candidate whose context occurrence best matches the question.
 
     A candidate occurrence scores the number of distinct question content
     words (lowercased; @placeholder and @entityN excluded) found within
-    `window` tokens of it; the best occurrence counts. Ties go to the
+    WINDOW tokens of it; the best occurrence counts. Ties go to the
     candidate appearing earliest in the context.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     wanted = set(request.candidates)
     occurrences: dict[str, list[int]] = {}
     for i, tok in enumerate(request.context):
@@ -81,7 +84,7 @@ def answer_lexical(request: ReaderRequest, window: int = 5) -> ReaderAnswer:
 
     def best_overlap(candidate: str) -> int:
         return max(
-            len(content.intersection(lowered[max(0, p - window) : p + window + 1]))
+            len(content.intersection(lowered[max(0, p - WINDOW) : p + WINDOW + 1]))
             for p in occurrences[candidate]
         )
 
@@ -96,16 +99,6 @@ def request_to_json(request: ReaderRequest) -> dict:
         "context": list(request.context),
         "candidates": list(request.candidates),
     }
-
-
-def run_external_reader(
-    requests: Sequence[ReaderRequest], command: str
-) -> list[ReaderAnswer]:
-    """Batch-answer via a subprocess speaking line-delimited JSON; waits for it.
-
-    See :func:`start_external_reader` for the protocol and its checks.
-    """
-    return list(start_external_reader(requests, command))
 
 
 def start_external_reader(
@@ -195,7 +188,7 @@ def _collect_answers(
             obj = json.loads(line)
             qid = obj["qid"]
             answer = obj["answer"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError) as exc:
             raise ReaderProtocolError(
                 f"external reader output line {lineno} is malformed: {exc}"
             ) from exc

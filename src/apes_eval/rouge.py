@@ -4,16 +4,17 @@ Scores are computed on lowercased tokens with no stemming or stopword
 removal, so results are reproducible bit-for-bit across platforms.
 
 Each text is prepared once (:func:`prepare`): it is lowercased a single
-time, and :func:`score_variants` hands the prepared texts to every
-reported variant. ROUGE-L's longest common subsequence is computed
-bit-parallel (Allison & Dix 1986; Hyyrö 2004): one step over a reference
-token updates a whole row of the DP table held in a Python int.
+time, and :func:`score_variants` hands the prepared texts to each
+reported variant in turn: ROUGE-1, ROUGE-2, ROUGE-L and ROUGE-SU4.
+ROUGE-L's longest common subsequence is computed bit-parallel (Allison &
+Dix 1986; Hyyrö 2004): one step over a reference token updates a whole
+row of the DP table held in a Python int.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 TokenSeq = Sequence[str]
@@ -189,46 +190,26 @@ def rouge_su(
     return _combine(scores, multi_ref)
 
 
-@dataclass(frozen=True)
-class RougeConfig:
-    """One scoring variant: "n" (with n), "l", or "su" (with skip)."""
-
-    variant: str
-    n: int = 1
-    skip: int = 4
-    multi_ref: str = "max"
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("n", "l", "su"):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.n < 1 or self.skip < 1:
-            raise ValueError("n and skip must be >= 1")
-        if self.multi_ref not in MULTI_REF_STRATEGIES:
-            raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
-
-    def score(self, candidate: Text, references: Sequence[Text]) -> RougeScore:
-        if self.variant == "n":
-            return rouge_n(candidate, references, self.n, self.multi_ref)
-        if self.variant == "l":
-            return rouge_l(candidate, references, self.multi_ref)
-        return rouge_su(candidate, references, self.skip, self.multi_ref)
-
-
 # Variants reported by the evaluation pipeline, in report order.
-REPORT_VARIANTS: dict[str, RougeConfig] = {
-    "r1": RougeConfig("n", n=1),
-    "r2": RougeConfig("n", n=2),
-    "rl": RougeConfig("l"),
-    "rsu4": RougeConfig("su", skip=4),
-}
+REPORT_VARIANTS = ("r1", "r2", "rl", "rsu4")
+
 
 def score_variants(
     candidate: Text, references: Sequence[Text], multi_ref: str = "max"
 ) -> dict[str, RougeScore]:
-    """Every REPORT_VARIANTS score of one candidate, each text lowercased once."""
+    """Every REPORT_VARIANTS score of one candidate, each text lowercased once.
+
+    It calls the variants through this module's globals and passes `n` and
+    `skip` explicitly: the benchmark's tracer wraps those globals and names
+    the `rouge.r{n}` and `rouge.rsu{skip}` spans from the arguments.
+    """
+    if multi_ref not in MULTI_REF_STRATEGIES:
+        raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
     cand = prepare(candidate)
     refs = [prepare(r) for r in references]
     return {
-        name: replace(cfg, multi_ref=multi_ref).score(cand, refs)
-        for name, cfg in REPORT_VARIANTS.items()
+        "r1": rouge_n(cand, refs, n=1, multi_ref=multi_ref),
+        "r2": rouge_n(cand, refs, n=2, multi_ref=multi_ref),
+        "rl": rouge_l(cand, refs, multi_ref=multi_ref),
+        "rsu4": rouge_su(cand, refs, skip=4, multi_ref=multi_ref),
     }

@@ -154,6 +154,31 @@ class TestInputBoundary:
         assert "bad_q.jsonl:2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["question", "candidates"])
+    def test_question_object_field_exit_one(self, tmp_path, capsys, field):
+        # an object used to be read as its keys, and such a question scored
+        corpus_path, sys_path, questions_path = make_inputs(tmp_path)
+        rows = [json.loads(l) for l in open(questions_path)]
+        rows[1][field] = {t: i for i, t in enumerate(rows[1][field])}
+        bad = write_jsonl(tmp_path / "bad_q.jsonl", rows)
+        argv = ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
+                "--questions", bad, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: {bad}:2: bad question: {field} must be a JSON array\n"
+        )
+
+    def test_json_nested_past_the_recursion_limit_exit_one(self, tmp_path, capsys):
+        # json raises RecursionError, which used to end in a traceback
+        corpus = tmp_path / "corpus.jsonl"
+        deep = "[" * 100_000 + "]" * 100_000
+        corpus.write_text(json.dumps(FIG_DOC) + "\n" + '{"id": ' + deep + "}\n")
+        assert main(["qgen", "--corpus", str(corpus)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}:2: invalid JSON: maximum recursion depth exceeded")
+
     def test_int_qid_is_read_as_its_string(self, tmp_path):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         rows = [json.loads(l) for l in open(questions_path)]
@@ -664,6 +689,43 @@ class TestDecodeDemo:
         assert rc == 1
         assert "model.json" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"vocab": {"a": 0, "b": 1, "</s>": 2}, "eos": "</s>", "t_x": 1},
+             "vocab must be a JSON array of tokens"),
+            ({"vocab": "ab", "eos": "b", "t_x": 1}, "vocab must be a JSON array of tokens"),
+            ({"vocab": ["a", "b", "</s>"], "eos": "</s>", "t_x": 2, "saliency": "01"},
+             "saliency must be a JSON array of numbers or null"),
+        ],
+        ids=["vocab object", "vocab string", "saliency string"],
+    )
+    def test_model_field_read_by_iteration_exit_one(self, tmp_path, capsys, model, message):
+        # an object or string used to be read as its keys or characters, exit 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["decode-demo", str(path), "--gamma", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_json_nested_past_the_recursion_limit_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"vocab": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["decode-demo", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: maximum recursion depth exceeded")
+
+    def test_null_saliency_still_loads(self, tmp_path, capsys):
+        path = pathlib.Path(self.write_model(tmp_path))
+        assert main(["decode-demo", str(path), "--gamma", "0"]) == 0
+        expected = capsys.readouterr().out
+        model = json.loads(path.read_text())
+        model["saliency"] = None
+        path.write_text(json.dumps(model))
+        assert main(["decode-demo", str(path), "--gamma", "0"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_string_t_x_still_loads(self, tmp_path, capsys):
         path = pathlib.Path(self.write_model(tmp_path, saliency=[1.0, 0.0]))

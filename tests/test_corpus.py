@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from apes_eval import synth
 from apes_eval.corpus import (
     CorpusError,
-    anonymize,
     anonymize_free_text,
     build_entity_table,
     Entity,
     EntityTable,
-    de_anonymize,
-    detect_entities_heuristic,
+    Mention,
     entity_token,
     find_mentions,
     load_corpus,
@@ -64,19 +62,19 @@ class TestSentenceSpans:
 
 class TestHeuristicDetection:
     def test_capitalized_pair_at_start(self):
-        table = detect_entities_heuristic(["Aaron", "Ramsey", "scored"])
+        table = build_entity_table(["Aaron", "Ramsey", "scored"], [])
         assert [e.surfaces for e in table.entities] == [(("Aaron", "Ramsey"),)]
         m = table.mentions["source"][0]
         assert (m.start, m.end) == (0, 2)
 
     def test_single_token_mid_sentence(self):
-        table = detect_entities_heuristic(["win", "cuts", "Chelsea", "'s", "lead"])
+        table = build_entity_table(["win", "cuts", "Chelsea", "'s", "lead"], [])
         assert len(table.entities) == 1
         m = table.mentions["source"][0]
         assert (m.start, m.end) == (2, 3)
 
     def test_repeated_sentence_start_surface_unifies(self):
-        table = detect_entities_heuristic(["Arsenal", "beat", "Burnley", ".", "Arsenal", "won"])
+        table = build_entity_table(["Arsenal", "beat", "Burnley", ".", "Arsenal", "won"], [])
         assert len(table.entities) == 2
         arsenal = table.entities[0]
         assert arsenal.surfaces == (("Arsenal",),)
@@ -84,7 +82,7 @@ class TestHeuristicDetection:
         assert spans == [(0, 1), (4, 5)]
 
     def test_lone_sentence_opener_dropped(self):
-        table = detect_entities_heuristic(["The", "cat", "sat", "on", "Burnley"])
+        table = build_entity_table(["The", "cat", "sat", "on", "Burnley"], [])
         assert [e.surfaces for e in table.entities] == [(("Burnley",),)]
 
     def test_ids_follow_first_appearance_source_then_highlights(self):
@@ -99,7 +97,7 @@ class TestHeuristicDetection:
 class TestAnonymize:
     def test_no_entities_identity(self):
         table = build_entity_table(["all", "lowercase", "here"], [])
-        assert anonymize(["all", "lowercase", "here"], table, "source") == ["all", "lowercase", "here"]
+        assert anonymize_free_text(["all", "lowercase", "here"], table) == ["all", "lowercase", "here"]
 
     def test_direct_substitution(self):
         doc = parse_document(
@@ -112,47 +110,20 @@ class TestAnonymize:
                 ],
             }
         )
-        assert anonymize(doc.source_tokens, doc.table, "source") == [
+        assert anonymize_free_text(doc.source_tokens, doc.table) == [
             "@entity0",
             "beat",
             "@entity1",
         ]
 
     def test_injective_tokens(self, fig_doc):
-        anonymized = anonymize(fig_doc.source_tokens, fig_doc.table, "source")
+        anonymized = anonymize_free_text(fig_doc.source_tokens, fig_doc.table)
         ids = [parse_entity_token(t) for t in anonymized if parse_entity_token(t) is not None]
         assert set(ids) == {0, 1, 2, 3, 4}
 
     def test_free_text_matching_keeps_unknown_nouns(self, fig_doc):
         out = anonymize_free_text(tokenize("Arsenal met Liverpool"), fig_doc.table)
         assert out == ["@entity0", "met", "Liverpool"]
-
-    def test_overlapping_mentions_error(self):
-        from apes_eval.corpus import Entity, EntityTable, Mention
-
-        table = EntityTable(
-            entities=[Entity(0, (("a", "b"),)), Entity(1, (("b",),))],
-            mentions={},
-        )
-        mentions = [Mention(0, 0, 2, ("a", "b")), Mention(1, 1, 2, ("b",))]
-        from apes_eval.corpus import _splice
-
-        with pytest.raises(CorpusError, match="overlapping entity mentions"):
-            _splice(["a", "b", "c"], mentions)
-
-
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 3))
-def test_anonymize_roundtrip_random_documents(doc_seed, stream_pick):
-    import random
-
-    doc = synth.make_document("d", random.Random(doc_seed))
-    streams = doc.streams()
-    names = sorted(streams)
-    stream = names[stream_pick % len(names)]
-    tokens = list(streams[stream])
-    forward = anonymize(tokens, doc.table, stream)
-    assert de_anonymize(forward, doc.table, stream) == tokens
 
 
 # Few distinct words in mixed case, so surfaces overlap, share first
@@ -212,7 +183,7 @@ def test_parse_document_with_explicit_spans():
         },
     }
     doc = parse_document(obj)
-    assert anonymize(doc.highlights[0], doc.table, "highlight_0") == ["@entity1", "won", "."]
+    assert doc.table.mentions["highlight_0"] == [Mention(1, 0, 1, ("Vexum",))]
 
 
 def test_parse_document_rejects_noncontiguous_ids():
@@ -252,12 +223,6 @@ def test_entity_ids_contiguous_on_synthetic_corpus():
             source_hits = [p for s, p in positions if s == "source"]
             first_positions.append(min(source_hits) if source_hits else float("inf"))
         assert first_positions == sorted(first_positions)
-
-
-def test_de_anonymize_without_recorded_mention_errors():
-    table = build_entity_table(["plain", "words"], [])
-    with pytest.raises(CorpusError, match="no recorded mention"):
-        de_anonymize(["@entity0"], table, "source")
 
 
 def test_entity_token_roundtrip():

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from apes_eval import synth
 from apes_eval.corpus import CorpusError, parse_document
-from apes_eval.qgen import ClozeQuestion, generate_questions, load_questions, write_questions
+from apes_eval.cli import main
+from apes_eval.qgen import ClozeQuestion, generate_questions, load_questions
+from conftest import FIG_DOC, write_jsonl
 from oracles import count_sentence_entity_pairs
 
 FIG_EXPECTED = [
@@ -112,10 +114,10 @@ def test_generation_deterministic(fig_doc):
 
 
 def test_questions_jsonl_roundtrip(tmp_path, fig_doc):
-    questions = generate_questions(fig_doc)
+    corpus_path = write_jsonl(tmp_path / "corpus.jsonl", [FIG_DOC])
     path = tmp_path / "q.jsonl"
-    write_questions(str(path), questions)
-    assert load_questions(str(path)) == questions
+    assert main(["qgen", "--corpus", corpus_path, "--out", str(path)]) == 0
+    assert load_questions(str(path)) == generate_questions(fig_doc)
 
 
 def test_load_questions_rejects_answer_outside_candidates(tmp_path):

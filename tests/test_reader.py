@@ -13,7 +13,6 @@ from apes_eval.reader import (
     answer_lexical,
     answer_oracle,
     request_to_json,
-    run_external_reader,
     start_external_reader,
 )
 
@@ -84,13 +83,21 @@ class TestLexical:
         )
         assert answer_lexical(req).answer == "@entity2"
 
+    def test_window_is_five_tokens_each_side(self):
+        # "won" is six tokens after @entity1 and five before @entity0: only
+        # a window of exactly five lifts @entity0 over the earlier @entity1
+        fillers = [f"f{i}" for i in range(9)]
+        req = ReaderRequest(
+            qid="q",
+            question=("@placeholder", "won"),
+            context=("@entity1", *fillers[:5], "won", *fillers[5:], "@entity0"),
+            candidates=("@entity0", "@entity1"),
+        )
+        assert answer_lexical(req).answer == "@entity0"
+
     def test_no_candidate_in_context(self):
         req = make_request(["no", "entities", "here"])
         assert answer_lexical(req).answer is None
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            answer_lexical(make_request(["@entity0"]), window=0)
 
     @given(st.permutations(["@entity0", "@entity1", "@entity2"]))
     def test_candidate_order_irrelevant(self, perm):
@@ -177,24 +184,29 @@ def _requests(n=3):
 
 class TestExternalReader:
     def test_first_candidate_stub(self, tmp_path):
-        answers = run_external_reader(_requests(), _stub(tmp_path, STUB_FIRST))
+        answers = list(start_external_reader(_requests(), _stub(tmp_path, STUB_FIRST)))
         assert [a.answer for a in answers] == ["@entity0"] * 3
 
     def test_missing_qid_warned_and_unanswered(self, tmp_path, caplog):
         with caplog.at_level("WARNING"):
-            answers = run_external_reader(_requests(), _stub(tmp_path, STUB_SKIP_ONE))
+            answers = list(start_external_reader(_requests(), _stub(tmp_path, STUB_SKIP_ONE)))
         assert [a.answer for a in answers] == [None, "@entity0", "@entity0"]
         assert "skipped qid" in caplog.text
 
     def test_malformed_line_aborts(self, tmp_path):
         cmd = _stub(tmp_path, "print('not json')")
         with pytest.raises(ReaderProtocolError, match="malformed"):
-            run_external_reader(_requests(1), cmd)
+            list(start_external_reader(_requests(1), cmd))
+
+    def test_line_nested_past_the_recursion_limit_aborts(self, tmp_path):
+        cmd = _stub(tmp_path, "print('[' * 100_000 + ']' * 100_000)")
+        with pytest.raises(ReaderProtocolError, match="line 1 is malformed: maximum recursion"):
+            list(start_external_reader(_requests(1), cmd))
 
     def test_nonzero_exit_aborts(self, tmp_path):
         cmd = _stub(tmp_path, "import sys; sys.exit(3)")
         with pytest.raises(ReaderProtocolError, match="status 3"):
-            run_external_reader(_requests(1), cmd)
+            list(start_external_reader(_requests(1), cmd))
 
     def test_out_of_candidate_answer_downgraded(self, tmp_path, caplog):
         body = textwrap.dedent(
@@ -206,7 +218,7 @@ class TestExternalReader:
             """
         )
         with caplog.at_level("WARNING"):
-            answers = run_external_reader(_requests(1), _stub(tmp_path, body))
+            answers = list(start_external_reader(_requests(1), _stub(tmp_path, body)))
         assert answers[0].answer is None
         assert "candidate set" in caplog.text
 
@@ -221,7 +233,7 @@ class TestExternalReader:
             """
         )
         with pytest.raises(ReaderProtocolError, match="line 4 answers qid d:2:0 a second time"):
-            run_external_reader(_requests(3), _stub(tmp_path, body))
+            list(start_external_reader(_requests(3), _stub(tmp_path, body)))
 
     def test_errors_surface_when_the_answers_are_read(self, tmp_path):
         pending = start_external_reader(_requests(1), _stub(tmp_path, "import sys; sys.exit(3)"))
@@ -232,7 +244,7 @@ class TestExternalReader:
         body = STUB_FIRST + "sys.stderr.write('HEAD' + 'x' * 600 + 'TAIL')\n"
         cmd = _stub(tmp_path, body)
         with caplog.at_level("INFO"):
-            answers = run_external_reader(_requests(1), cmd)
+            answers = list(start_external_reader(_requests(1), cmd))
         assert answers[0].answer == "@entity0"
         [record] = [r for r in caplog.records if "stderr" in r.getMessage()]
         assert record.levelname == "INFO"

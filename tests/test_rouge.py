@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from apes_eval import rouge
 from apes_eval.rouge import (
     REPORT_VARIANTS,
-    RougeConfig,
     RougeScore,
     lcs_length,
     mean_scores,
@@ -50,6 +48,15 @@ def long_tokens(size, max_size=300):
 long_pair_st = st.sampled_from([2, 6, 40]).flatmap(
     lambda size: st.tuples(long_tokens(size), long_tokens(size))
 )
+
+
+# Each reported variant as a direct call, the reference score_variants must equal.
+VARIANT_CALLS = {
+    "r1": lambda cand, refs, multi_ref: rouge_n(cand, refs, 1, multi_ref),
+    "r2": lambda cand, refs, multi_ref: rouge_n(cand, refs, 2, multi_ref),
+    "rl": lambda cand, refs, multi_ref: rouge_l(cand, refs, multi_ref),
+    "rsu4": lambda cand, refs, multi_ref: rouge_su(cand, refs, 4, multi_ref),
+}
 
 
 class TestRougeN:
@@ -138,12 +145,14 @@ class TestMultiReference:
 @settings(max_examples=100, deadline=None)
 @given(tokens_st, tokens_st)
 def test_scores_bounded_and_self_perfect(cand, ref):
-    for cfg in REPORT_VARIANTS.values():
-        score = cfg.score(cand, [ref])
+    scores = score_variants(cand, [ref])
+    assert tuple(scores) == REPORT_VARIANTS
+    for score in scores.values():
         for value in (score.precision, score.recall, score.f1):
             assert 0.0 <= value <= 1.0
-        if cfg.variant != "n" or len(cand) >= cfg.n:  # identity needs >= 1 unit
-            assert cfg.score(cand, [cand]).f1 == 1.0
+    for name, score in score_variants(cand, [cand]).items():
+        if name != "r2" or len(cand) >= 2:  # identity needs >= 1 unit
+            assert score.f1 == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,17 +223,14 @@ class TestPrepared:
     def test_prepared_scores_equal_raw(self, pair, extra_refs, multi_ref):
         cand, ref = pair
         refs = [ref] + [list(reversed(ref[: 50 * k])) for k in range(1, extra_refs + 1)]
-        raw = {
-            name: dataclasses.replace(cfg, multi_ref=multi_ref).score(cand, refs)
-            for name, cfg in REPORT_VARIANTS.items()
-        }
+        raw = {name: call(cand, refs, multi_ref) for name, call in VARIANT_CALLS.items()}
         prepared = [prepare(r) for r in refs]
-        for name, cfg in REPORT_VARIANTS.items():
-            cfg = dataclasses.replace(cfg, multi_ref=multi_ref)
-            assert cfg.score(prepare(cand), prepared) == raw[name]
-            assert cfg.score(cand, prepared) == raw[name]
-            assert cfg.score(prepare(cand), refs) == raw[name]
+        for name, call in VARIANT_CALLS.items():
+            assert call(prepare(cand), prepared, multi_ref) == raw[name]
+            assert call(cand, prepared, multi_ref) == raw[name]
+            assert call(prepare(cand), refs, multi_ref) == raw[name]
         assert score_variants(cand, refs, multi_ref) == raw
+        assert tuple(raw) == REPORT_VARIANTS
 
     @settings(max_examples=60, deadline=None)
     @given(long_pair_st)
@@ -270,18 +276,19 @@ class TestPrepared:
         with pytest.raises(ValueError):
             score_variants(["a"], [["a"]], multi_ref="median")
 
+    def test_score_variants_checks_the_strategy_before_any_reference(self):
+        def unread():
+            raise AssertionError("a reference was read")
+            yield
+
+        with pytest.raises(ValueError, match="multi_ref must be one of"):
+            score_variants(["a"], unread(), multi_ref="median")
+        with pytest.raises(ValueError, match="multi_ref must be one of"):
+            score_variants(["a"], [], multi_ref="median")
+
 
 def test_mean_scores():
     scores = [RougeScore(1.0, 0.5, 0.6), RougeScore(0.0, 0.5, 0.2)]
     mean = mean_scores(scores)
     assert mean == RougeScore(0.5, 0.5, 0.4)
     assert mean_scores([]) == RougeScore(0.0, 0.0, 0.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RougeConfig("w")
-    with pytest.raises(ValueError):
-        RougeConfig("n", n=0)
-    with pytest.raises(ValueError):
-        RougeConfig("n", multi_ref="best")
