@@ -2,10 +2,13 @@
 system summaries.
 
 A corpus is a set of documents, each holding source tokens, reference
-highlight sentences, and a table of named entities with their mention
-spans. Entity annotations normally arrive with the corpus JSONL; a
+highlight sentences, and a table of named entities with their mentions.
+A mention is only an entity id and a half-open token span of one stream
+(the source or a highlight); its tokens are that slice of the stream.
+Entity annotations normally arrive with the corpus JSONL; a
 capitalization heuristic (:func:`build_entity_table`) fills in when they
-are absent so the toolkit still runs on plain text. A system summary is
+are absent so the toolkit still runs on plain text. Annotated mentions are
+checked once, by :meth:`EntityTable.validate`. A system summary is
 anonymized by matching the table's surfaces in its tokens
 (:func:`anonymize_free_text`).
 """
@@ -84,22 +87,17 @@ def sentence_spans(tokens: Sequence[str]) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Mention:
-    """One entity occurrence: a half-open token span plus its exact tokens."""
+    """One entity occurrence: the half-open token span [start, end) of its stream."""
 
     entity_id: int
     start: int
     end: int
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Entity:
     entity_id: int
     surfaces: tuple[tuple[str, ...], ...]
-
-    def matches(self, tokens: Sequence[str]) -> bool:
-        lowered = tuple(t.lower() for t in tokens)
-        return any(tuple(s.lower() for s in surf) == lowered for surf in self.surfaces)
 
 
 @dataclass
@@ -131,17 +129,20 @@ class EntityTable:
         return index
 
     def validate(self, streams: dict[str, Sequence[str]]) -> None:
+        """Ids run from 0; each stream's spans, in start order, are known ids,
+        in range, non-overlapping, and match a surface of their entity
+        case-insensitively."""
         ids = self.entity_ids
         if ids != list(range(len(ids))):
             raise CorpusError(f"entity ids must be contiguous from 0, got {ids}")
-        known = set(ids)
+        surfaces = [{tuple(t.lower() for t in surf) for surf in e.surfaces} for e in self.entities]
         for stream, mentions in self.mentions.items():
             if stream not in streams:
                 raise CorpusError(f"mentions refer to unknown stream {stream!r}")
             tokens = streams[stream]
             prev_end = 0
-            for m in sorted(mentions, key=lambda m: m.start):
-                if m.entity_id not in known:
+            for m in mentions:  # sorted by start in __post_init__
+                if m.entity_id not in range(len(surfaces)):
                     raise CorpusError(f"mention of unknown entity id {m.entity_id}")
                 if not (0 <= m.start < m.end <= len(tokens)):
                     raise CorpusError(
@@ -151,11 +152,7 @@ class EntityTable:
                     raise CorpusError("overlapping entity mentions")
                 prev_end = m.end
                 span = tuple(tokens[m.start : m.end])
-                if span != m.tokens:
-                    raise CorpusError(
-                        f"mention tokens {m.tokens} do not match {stream!r}[{m.start}:{m.end}]"
-                    )
-                if not self.entities[m.entity_id].matches(span):
+                if tuple(t.lower() for t in span) not in surfaces[m.entity_id]:
                     raise CorpusError(
                         f"mention {span} matches no surface of entity {m.entity_id}"
                     )
@@ -182,7 +179,7 @@ def find_mentions(tokens: Sequence[str], table: EntityTable) -> list[Mention]:
         for surf in by_first.get(lowered[i], ()):
             j = i + len(surf)
             if j <= len(tokens) and tuple(lowered[i:j]) == surf:
-                hit = Mention(index[surf], i, j, tuple(tokens[i:j]))
+                hit = Mention(index[surf], i, j)
                 break
         if hit is None:
             i += 1
@@ -256,7 +253,7 @@ def build_entity_table(
             key = tuple(t.lower() for t in span)
             group = groups.setdefault(key, {"anchored": False, "runs": [], "surfaces": []})
             group["anchored"] = group["anchored"] or anchored
-            group["runs"].append((stream, i, j, span))
+            group["runs"].append((stream, i, j))
             if span not in group["surfaces"]:
                 group["surfaces"].append(span)
 
@@ -265,8 +262,8 @@ def build_entity_table(
     mentions: dict[str, list[Mention]] = {stream: [] for stream, _ in streams}
     for eid, group in enumerate(kept):  # dict order == first-appearance order
         entities.append(Entity(eid, tuple(group["surfaces"])))
-        for stream, i, j, span in group["runs"]:
-            mentions[stream].append(Mention(eid, i, j, span))
+        for stream, i, j in group["runs"]:
+            mentions[stream].append(Mention(eid, i, j))
     return EntityTable(entities, mentions)
 
 
@@ -279,12 +276,6 @@ class Document:
     source_tokens: tuple[str, ...]
     highlights: tuple[tuple[str, ...], ...]
     table: EntityTable
-
-    def streams(self) -> dict[str, tuple[str, ...]]:
-        named: dict[str, tuple[str, ...]] = {"source": self.source_tokens}
-        for k, h in enumerate(self.highlights):
-            named[f"highlight_{k}"] = h
-        return named
 
 
 @dataclass(frozen=True)
@@ -369,12 +360,11 @@ def parse_document(obj: dict, *, where: str = "document") -> Document:
             raise CorpusError(f"{where}: entity {ent['id']} needs non-empty surfaces")
         entities.append(Entity(ent["id"], surfaces))
 
-    doc = Document(doc_id, source, highlights, EntityTable(entities, {}))
-    streams = doc.streams()
-    mentions: dict[str, list[Mention]] = {}
+    streams = {"source": source, **{f"highlight_{k}": h for k, h in enumerate(highlights)}}
     if "mentions" in obj:
         if not isinstance(obj["mentions"], dict):
             raise CorpusError(f"{where}: mentions must be an object keyed by stream")
+        mentions: dict[str, list[Mention]] = {}
         for stream, spans in obj["mentions"].items():
             if stream not in streams:
                 raise CorpusError(f"{where}: unknown stream {stream!r}")
@@ -382,14 +372,13 @@ def parse_document(obj: dict, *, where: str = "document") -> Document:
                 raise CorpusError(
                     f"{where}: mentions of {stream!r} must be [entity, start, end] int triples"
                 )
-            tokens = streams[stream]
-            mentions[stream] = [Mention(eid, s, e, tuple(tokens[s:e])) for eid, s, e in spans]
+            mentions[stream] = [Mention(eid, s, e) for eid, s, e in spans]
+        table = EntityTable(entities, mentions)
     else:
-        table_for_matching = EntityTable(entities, {})
+        table = EntityTable(entities, {})
         for stream, tokens in streams.items():
-            mentions[stream] = find_mentions(tokens, table_for_matching)
+            table.mentions[stream] = find_mentions(tokens, table)
 
-    table = EntityTable(entities, mentions)
     try:
         table.validate(streams)
     except CorpusError as exc:

@@ -108,10 +108,11 @@ def start_external_reader(
 
     Requests go to the child's stdin as one JSON object per line
     ({"qid", "question", "context", "candidates"}); the child must print
-    one {"qid", "answer"} object per line. The join is by qid, so output
-    order is free. The whole request JSONL sits in an unnamed temporary
-    file that is the child's stdin, so the child never waits on this
-    process for input and the caller can work while it answers.
+    one {"qid", "answer"} object per line, and only "\\n" ends a line.
+    The join is by qid, so output order is free. The whole request JSONL
+    sits in an unnamed temporary file that is the child's stdin, so the
+    child never waits on this process for input and the caller can work
+    while it answers.
 
     The returned sequence waits for the child the first time it is read
     (length, iteration or index); read it to reap the child. Missing qids
@@ -181,7 +182,9 @@ def _collect_answers(
         log.info("external reader %s wrote to stderr: %s", command, tail)
 
     by_qid: dict[str, str | None] = {}
-    for lineno, line in enumerate(stdout.splitlines(), start=1):
+    # "\n" only: str.splitlines() also breaks at U+2028, U+2029 and U+0085,
+    # which JSON leaves raw inside strings
+    for lineno, line in enumerate(stdout.split("\n"), start=1):
         if not line.strip():
             continue
         try:

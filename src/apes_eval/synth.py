@@ -66,9 +66,8 @@ class _DocBuilder:
         entities = [Entity(eid, (self.surfaces[key],)) for key, eid in sorted(ids.items(), key=lambda kv: kv[1])]
         mentions: dict[str, list[Mention]] = {}
         for stream in stream_names:
-            tokens = self.streams[stream]
             mentions[stream] = [
-                Mention(ids[key], start, end, tuple(tokens[start:end]))
+                Mention(ids[key], start, end)
                 for key, start, end in self.placements.get(stream, [])
             ]
         highlights = tuple(

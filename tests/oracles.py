@@ -120,7 +120,7 @@ def scan_find_mentions(tokens: Sequence[str], table) -> list:
         for surf in surfaces:
             j = i + len(surf)
             if j <= len(tokens) and tuple(lowered[i:j]) == surf:
-                hit = Mention(index[surf], i, j, tuple(tokens[i:j]))
+                hit = Mention(index[surf], i, j)
                 break
         if hit is None:
             i += 1
@@ -128,6 +128,59 @@ def scan_find_mentions(tokens: Sequence[str], table) -> list:
             found.append(hit)
             i = hit.end
     return found
+
+
+def frozen_parse_annotated(obj: dict, where: str = "document"):
+    """corpus.parse_document on a document with entities and explicit
+    mentions, as it checked them while a mention carried its tokens: each
+    span is compared with each surface of its entity in turn, and the check
+    re-sorts each stream's mentions by start. Takes well-typed fields
+    (string texts, entity objects, [entity, start, end] int triples)."""
+    from apes_eval.corpus import CorpusError, Document, Entity, EntityTable, Mention, tokenize
+
+    source = tuple(tokenize(obj["source"]))
+    highlights = tuple(tuple(tokenize(h)) for h in obj.get("highlights", []))
+    streams = {"source": source}
+    for k, h in enumerate(highlights):
+        streams[f"highlight_{k}"] = h
+    entities = []
+    for ent in sorted(obj["entities"], key=lambda e: e["id"]):
+        surfaces = tuple(tuple(tokenize(s)) for s in ent["surfaces"])
+        if not surfaces or any(not s for s in surfaces):
+            raise CorpusError(f"{where}: entity {ent['id']} needs non-empty surfaces")
+        entities.append(Entity(ent["id"], surfaces))
+    for stream in obj["mentions"]:
+        if stream not in streams:
+            raise CorpusError(f"{where}: unknown stream {stream!r}")
+
+    def matches(entity, span) -> bool:
+        lowered = tuple(t.lower() for t in span)
+        return any(tuple(s.lower() for s in surf) == lowered for surf in entity.surfaces)
+
+    ids = [e.entity_id for e in entities]
+    if ids != list(range(len(ids))):
+        raise CorpusError(f"{where}: entity ids must be contiguous from 0, got {ids}")
+    for stream, triples in obj["mentions"].items():
+        tokens = streams[stream]
+        prev_end = 0
+        for eid, start, end in sorted(triples, key=lambda t: t[1]):
+            if eid not in ids:
+                raise CorpusError(f"{where}: mention of unknown entity id {eid}")
+            if not (0 <= start < end <= len(tokens)):
+                raise CorpusError(
+                    f"{where}: mention span ({start}, {end}) out of range in {stream!r}"
+                )
+            if start < prev_end:
+                raise CorpusError(f"{where}: overlapping entity mentions")
+            prev_end = end
+            span = tuple(tokens[start:end])
+            if not matches(entities[eid], span):
+                raise CorpusError(f"{where}: mention {span} matches no surface of entity {eid}")
+    mentions = {
+        stream: [Mention(*t) for t in sorted(triples, key=lambda t: t[1])]
+        for stream, triples in obj["mentions"].items()
+    }
+    return Document(obj["id"], source, highlights, EntityTable(entities, mentions))
 
 
 def brute_pearson(x: Sequence[float], y: Sequence[float]) -> float:

@@ -503,6 +503,49 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_external_reader_output_splits_on_newline_only(self, tmp_path, char):
+        # str.splitlines() breaks at these three, and JSON leaves them raw
+        # inside strings: a qid holding one must not split its answer line
+        docs = synth.make_corpus(3, seed=0)
+        rows = [document_to_json(d) for d in docs]
+        sys_rows = [{"doc_id": d.id, "tokens": list(synth.reference_summary(d).tokens)} for d in docs]
+        rows[0]["id"] = sys_rows[0]["doc_id"] = f"doc{char}zero"
+        corpus_path = write_jsonl(tmp_path / "corpus.jsonl", rows)
+        sys_path = write_jsonl(tmp_path / "sys.jsonl", sys_rows)
+        questions_path = str(tmp_path / "questions.jsonl")
+        assert main(["qgen", "--corpus", corpus_path, "--out", questions_path]) == 0
+        stub = tmp_path / "echo_stub.py"
+        stub.write_text(
+            textwrap.dedent(
+                """
+                import json, sys
+                for line in sys.stdin:
+                    req = json.loads(line)
+                    answer = {"qid": req["qid"], "answer": req["candidates"][0]}
+                    print(json.dumps(answer, ensure_ascii=sys.argv[1] == "ascii"))
+                """
+            )
+        )
+        reports = []
+        for escaping in ("ascii", "raw"):
+            out = tmp_path / f"report_{escaping}.json"
+            rc = main(
+                [
+                    "evaluate",
+                    "--corpus", corpus_path,
+                    "--sys", sys_path,
+                    "--questions", questions_path,
+                    "--reader", "external",
+                    "--reader-cmd", f"{sys.executable} {stub} {escaping}",
+                    "--out", str(out),
+                ]
+            )
+            assert rc == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert f"doc{char}zero".encode() in reports[0]
+
     def test_refs_override(self, tmp_path):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         sys_rows = [json.loads(l) for l in open(sys_path)]
