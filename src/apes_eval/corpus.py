@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +49,8 @@ def tokenize(text: str) -> list[str]:
 
     Characters in SPLIT_PUNCT become their own tokens; interior punctuation
     (hyphens, apostrophes inside a word) is preserved. Deterministic and
-    idempotent on its own space-joined output. Empty input yields [].
+    idempotent on its own space-joined output. Empty input yields []. Words
+    are interned, so a corpus holds one string object per distinct word.
     """
     tokens: list[str] = []
     for chunk in text.split():
@@ -62,7 +64,7 @@ def tokenize(text: str) -> list[str]:
             chunk = chunk[:-1]
         tokens.extend(lead)
         if chunk:
-            tokens.append(chunk)
+            tokens.append(sys.intern(chunk))
         tokens.extend(reversed(trail))
     return tokens
 
@@ -189,20 +191,29 @@ def find_mentions(tokens: Sequence[str], table: EntityTable) -> list[Mention]:
     return found
 
 
+def replace_mentions(
+    tokens: Sequence[str], mentions: Iterable[Mention],
+    label: Callable[[int], str] = entity_token, start: int = 0, end: int | None = None,
+) -> list[str]:
+    """``tokens[start:end]`` with each mention span, sorted by start and
+    inside that window, replaced by the one token ``label(entity_id)``."""
+    out: list[str] = []
+    pos = start
+    for m in mentions:
+        out.extend(tokens[pos : m.start])
+        out.append(label(m.entity_id))
+        pos = m.end
+    out.extend(tokens[pos:end])
+    return out
+
+
 def anonymize_free_text(tokens: Sequence[str], table: EntityTable) -> list[str]:
     """Anonymize unannotated tokens (e.g. a system summary) by surface matching.
 
     Each mention :func:`find_mentions` locates becomes its @entityN token;
     proper nouns absent from the table stay as raw tokens.
     """
-    out: list[str] = []
-    pos = 0
-    for m in find_mentions(tokens, table):
-        out.extend(tokens[pos : m.start])
-        out.append(entity_token(m.entity_id))
-        pos = m.end
-    out.extend(tokens[pos:])
-    return out
+    return replace_mentions(tokens, find_mentions(tokens, table))
 
 
 # -- heuristic entity detection ------------------------------------------

@@ -13,7 +13,8 @@ lp and ep apply only when rescoring the finished set. Conventions: the
 end-of-sequence token is not part of Y (its step adds log-probability but
 no coverage), sequences must emit at least one content token, and
 hypotheses still alive at max_len are frozen as finished without an
-end-of-sequence term.
+end-of-sequence term. Both searches keep only the best finished hypothesis
+so far, by one rule: highest score, ties to the smallest token-id sequence.
 
 Coverage and attention are tuples of Python floats. Sums over them follow
 numpy's float64 summation order (see :func:`_sum`), so every score equals
@@ -278,16 +279,25 @@ def _repeating_successors(tokens: tuple[str, ...]) -> set[str]:
     return {tokens[i + 2] for i in range(len(tokens) - 2) if tokens[i : i + 2] == tail}
 
 
+def _keep_best(best, hyp: Hypothesis, hyp_ids: tuple[int, ...], cfg: PenaltyConfig):
+    """The running best ``((-final_score, id tuple), hypothesis)`` after
+    seeing the finished `hyp`. The key is unique per sequence, so the order
+    in which hypotheses arrive never changes the winner."""
+    key = (-final_score(hyp, cfg), hyp_ids)
+    return (key, hyp) if best is None or key < best[0] else best
+
+
 def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     """Penalty-aware beam search.
 
     Expansion keeps the `beam_width` best live hypotheses by
     logp - cp(running coverage); finishing via eos (or freezing at
-    max_len) moves a hypothesis aside without occupying a slot. The
-    finished set is rescored with the full penalty score and the argmax
-    returned, ties going to the lexicographically smallest token-id
-    sequence. With trigram blocking, expansions recreating a trigram
-    already present in the hypothesis are pruned.
+    max_len) takes a hypothesis out of the beam. Each finished hypothesis
+    is scored with the full penalty score as it finishes, and only the
+    best so far is kept, ties going to the lexicographically smallest
+    token-id sequence, so memory does not grow with the number of steps.
+    With trigram blocking, expansions recreating a trigram already present
+    in the hypothesis are pruned.
 
     The content children of one parent share its attention row, so each
     parent's child coverage and its penalty are computed once, and only
@@ -298,7 +308,7 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     content = [(ids[tok], tok) for tok in model.vocab if tok != model.eos]
 
     beams = [(Hypothesis((), 0.0, (0.0,) * model.t_x, False), ())]
-    finished: list[tuple[Hypothesis, tuple[int, ...]]] = []
+    best = None
 
     for _ in range(cfg.max_len):
         expanded = []
@@ -306,9 +316,8 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
         for parent, (hyp, hyp_ids) in enumerate(beams):
             logps, attn = model.step(hyp.tokens)
             if hyp.tokens:
-                finished.append(
-                    (Hypothesis(hyp.tokens, hyp.logp + logps[model.eos], hyp.coverage, True), hyp_ids)
-                )
+                done = Hypothesis(hyp.tokens, hyp.logp + logps[model.eos], hyp.coverage, True)
+                best = _keep_best(best, done, hyp_ids, cfg)
             coverage = tuple(map(add, hyp.coverage, attn))
             cp = coverage_penalty(coverage, cfg.beta)
             blocked = _repeating_successors(hyp.tokens) if cfg.block_repeated_trigrams else ()
@@ -330,10 +339,12 @@ def beam_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
                 (Hypothesis(hyp.tokens + (tok,), hyp.logp + logps[tok], coverage, False), child_ids)
             )
     else:
-        finished += [(Hypothesis(h.tokens, h.logp, h.coverage, True), i) for h, i in beams]
+        for hyp, hyp_ids in beams:
+            frozen = Hypothesis(hyp.tokens, hyp.logp, hyp.coverage, True)
+            best = _keep_best(best, frozen, hyp_ids, cfg)
 
-    best, _ = min(finished, key=lambda entry: (-final_score(entry[0], cfg), entry[1]))
-    return DecodeResult(best.tokens, final_score(best, cfg), best)
+    (negated_score, _), hyp = best  # set: every hypothesis of the first step finishes
+    return DecodeResult(hyp.tokens, -negated_score, hyp)
 
 
 MAX_EXHAUSTIVE_NODES = 10**6
@@ -342,8 +353,10 @@ MAX_EXHAUSTIVE_NODES = 10**6
 def exhaustive_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
     """Enumerate every finished sequence up to max_len and return the argmax.
 
-    Shares the finishing conventions of :func:`beam_search`, so a beam wide
-    enough to hold every prefix reproduces this result exactly.
+    Shares the finishing conventions and the running best of
+    :func:`beam_search`, so a beam wide enough to hold every prefix
+    reproduces this result exactly. The walk keeps its own stack, so
+    max_len is not bounded by the interpreter's recursion limit.
     """
     ids = {tok: i for i, tok in enumerate(model.vocab)}
     content = [(ids[tok], tok) for tok in model.vocab if tok != model.eos]
@@ -352,28 +365,24 @@ def exhaustive_search(model: TableModel, cfg: PenaltyConfig) -> DecodeResult:
             f"search space {len(content)}^{cfg.max_len} exceeds {MAX_EXHAUSTIVE_NODES}"
         )
 
-    best: tuple[tuple[float, tuple[int, ...]], Hypothesis] | None = None
-
-    def consider(hyp: Hypothesis, hyp_ids: tuple[int, ...]) -> None:
-        nonlocal best
-        key = (-final_score(hyp, cfg), hyp_ids)
-        if best is None or key < best[0]:
-            best = (key, hyp)
-
-    def walk(tokens: tuple[str, ...], token_ids: tuple[int, ...], logp: float,
-             coverage: tuple[float, ...]) -> None:
+    best = None
+    # depth first in id order: a node's eos ending, then its children
+    stack = [((), (), 0.0, (0.0,) * model.t_x)]
+    while stack:
+        tokens, token_ids, logp, coverage = stack.pop()
         if len(tokens) == cfg.max_len:
-            consider(Hypothesis(tokens, logp, coverage, True), token_ids)
-            return
+            best = _keep_best(best, Hypothesis(tokens, logp, coverage, True), token_ids, cfg)
+            continue
         logps, attn = model.step(tokens)
         if tokens:
-            consider(Hypothesis(tokens, logp + logps[model.eos], coverage, True), token_ids)
+            done = Hypothesis(tokens, logp + logps[model.eos], coverage, True)
+            best = _keep_best(best, done, token_ids, cfg)
         child_coverage = tuple(map(add, coverage, attn))
         blocked = _repeating_successors(tokens) if cfg.block_repeated_trigrams else ()
-        for i, tok in content:
-            if tok not in blocked:
-                walk(tokens + (tok,), token_ids + (i,), logp + logps[tok], child_coverage)
-
-    walk((), (), 0.0, (0.0,) * model.t_x)
-    hyp = best[1]  # set: every sequence of one content token or more finishes
-    return DecodeResult(hyp.tokens, final_score(hyp, cfg), hyp)
+        stack += [
+            (tokens + (tok,), token_ids + (i,), logp + logps[tok], child_coverage)
+            for i, tok in reversed(content)
+            if tok not in blocked
+        ]
+    (negated_score, _), hyp = best  # set: every sequence of one content token or more finishes
+    return DecodeResult(hyp.tokens, -negated_score, hyp)

@@ -9,16 +9,15 @@ trailing terminal punctuation is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .corpus import (
     PLACEHOLDER,
     SENTENCE_TERMINALS,
     CorpusError,
     Document,
-    Mention,
     entity_token,
     iter_jsonl,
+    replace_mentions,
     sentence_spans,
 )
 
@@ -38,25 +37,6 @@ class ClozeQuestion:
             raise ValueError(f"answer {self.answer} not among candidates of {self.qid}")
 
 
-def _blank_sentence(
-    tokens: Sequence[str],
-    start: int,
-    end: int,
-    mentions: Sequence[Mention],
-    target: int,
-) -> tuple[str, ...]:
-    out: list[str] = []
-    pos = start
-    for m in mentions:
-        out.extend(tokens[pos : m.start])
-        out.append(PLACEHOLDER if m.entity_id == target else entity_token(m.entity_id))
-        pos = m.end
-    out.extend(tokens[pos:end])
-    while out and out[-1] in SENTENCE_TERMINALS:
-        out.pop()
-    return tuple(out)
-
-
 def generate_questions(doc: Document) -> list[ClozeQuestion]:
     """All (sentence, distinct entity) questions of a document.
 
@@ -72,11 +52,17 @@ def generate_questions(doc: Document) -> list[ClozeQuestion]:
         for start, end in sentence_spans(highlight):
             inside = [m for m in stream_mentions if start <= m.start and m.end <= end]
             for target in sorted({m.entity_id for m in inside}):
+                blanked = replace_mentions(
+                    highlight, inside,
+                    lambda e: PLACEHOLDER if e == target else entity_token(e), start, end,
+                )
+                while blanked and blanked[-1] in SENTENCE_TERMINALS:
+                    blanked.pop()
                 questions.append(
                     ClozeQuestion(
                         doc_id=doc.id,
                         qid=f"{doc.id}:{sentence_index}:{target}",
-                        question=_blank_sentence(highlight, start, end, inside, target),
+                        question=tuple(blanked),
                         answer=entity_token(target),
                         candidates=candidates,
                     )

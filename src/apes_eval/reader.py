@@ -108,7 +108,8 @@ def start_external_reader(
 
     Requests go to the child's stdin as one JSON object per line
     ({"qid", "question", "context", "candidates"}); the child must print
-    one {"qid", "answer"} object per line, and only "\\n" ends a line.
+    one {"qid", "answer"} object per line; "\\n", "\\r\\n" and "\\r" end a
+    line, and output that is not text in the locale's encoding is an error.
     The join is by qid, so output order is free. The whole request JSONL
     sits in an unnamed temporary file that is the child's stdin, so the
     child never waits on this process for input and the caller can work
@@ -136,7 +137,6 @@ def start_external_reader(
             stdin=stdin,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
         )
     return _PendingAnswers(requests, command, proc)
 
@@ -145,7 +145,7 @@ class _PendingAnswers(Sequence[ReaderAnswer]):
     """A running external reader's answers; the first read waits for it."""
 
     def __init__(
-        self, requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[str]
+        self, requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[bytes]
     ) -> None:
         self._requests = requests
         self._command = command
@@ -167,11 +167,29 @@ class _PendingAnswers(Sequence[ReaderAnswer]):
         return iter(self._collect())
 
 
+def _decode(raw: bytes, stream: str, command: str) -> str:
+    """Reader output as ``Popen(text=True)`` reads it: decoded strictly in the
+    locale's encoding, with "\\r\\n" and a lone "\\r" read as "\\n"."""
+    import locale
+
+    encoding = locale.getpreferredencoding(False)
+    try:
+        return raw.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        lineno = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        where = f"output line {lineno}" if stream == "stdout" else stream
+        raise ReaderProtocolError(
+            f"external reader {where} is not valid {encoding} text ({exc.reason}); "
+            f"reader command: {command}"
+        ) from exc
+
+
 def _collect_answers(
-    requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[str]
+    requests: Sequence[ReaderRequest], command: str, proc: subprocess.Popen[bytes]
 ) -> list[ReaderAnswer]:
     """Wait for the reader, then check and join its answers."""
-    stdout, stderr = proc.communicate()
+    raw_stdout, raw_stderr = proc.communicate()
+    stdout, stderr = _decode(raw_stdout, "stdout", command), _decode(raw_stderr, "stderr", command)
     if proc.returncode != 0:
         raise ReaderProtocolError(
             f"external reader exited with status {proc.returncode}: "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 TokenSeq = Sequence[str]
 
@@ -82,10 +82,6 @@ def prepare(tokens: Text) -> Prepared:
     return tokens if isinstance(tokens, Prepared) else Prepared(tokens)
 
 
-def _clipped_overlap(a: Counter, b: Counter) -> int:
-    return sum(min(a[k], b[k]) for k in a.keys() & b.keys())
-
-
 def _combine(scores: list[RougeScore], multi_ref: str) -> RougeScore:
     if multi_ref not in MULTI_REF_STRATEGIES:
         raise ValueError(f"multi_ref must be one of {MULTI_REF_STRATEGIES}")
@@ -114,6 +110,20 @@ def _check_references(references: Sequence[Text]) -> None:
         raise ValueError("at least one reference is required")
 
 
+def _overlap_score(candidate: Text, references: Sequence[Text],
+                   units: Callable[[tuple[str, ...]], Counter], multi_ref: str) -> RougeScore:
+    """Clipped overlap of the unit multisets `units` builds from each text."""
+    _check_references(references)
+    cand = units(prepare(candidate).tokens)
+    n_cand = sum(cand.values())
+    scores = []
+    for ref in references:
+        refc = units(prepare(ref).tokens)
+        overlap = sum(min(cand[k], refc[k]) for k in cand.keys() & refc.keys())
+        scores.append(_from_counts(overlap, n_cand, sum(refc.values())))
+    return _combine(scores, multi_ref)
+
+
 def rouge_n(
     candidate: Text,
     references: Sequence[Text],
@@ -123,14 +133,7 @@ def rouge_n(
     """Clipped n-gram multiset overlap between candidate and references."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_references(references)
-    cand = _ngram_counts(prepare(candidate).tokens, n)
-    n_cand = sum(cand.values())
-    scores = []
-    for ref in references:
-        refc = _ngram_counts(prepare(ref).tokens, n)
-        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
-    return _combine(scores, multi_ref)
+    return _overlap_score(candidate, references, lambda t: _ngram_counts(t, n), multi_ref)
 
 
 def _lcs(masks: dict[str, int], length: int, other: TokenSeq) -> int:
@@ -180,14 +183,7 @@ def rouge_su(
     """Clipped overlap over the union multiset of unigrams and skip-bigrams."""
     if skip < 1:
         raise ValueError("skip must be >= 1")
-    _check_references(references)
-    cand = _su_unit_counts(prepare(candidate).tokens, skip)
-    n_cand = sum(cand.values())
-    scores = []
-    for ref in references:
-        refc = _su_unit_counts(prepare(ref).tokens, skip)
-        scores.append(_from_counts(_clipped_overlap(cand, refc), n_cand, sum(refc.values())))
-    return _combine(scores, multi_ref)
+    return _overlap_score(candidate, references, lambda t: _su_unit_counts(t, skip), multi_ref)
 
 
 # Variants reported by the evaluation pipeline, in report order.

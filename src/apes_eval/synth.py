@@ -1,18 +1,20 @@
 """Deterministic synthetic news-like corpora with exact entity annotations.
 
-Used by the test suite and the demo scripts. Documents carry 2-5 named
+Used by the test suite and the demo scripts. Documents carry 2-4 named
 entities (pseudo-names with globally unique tokens, so surface matching is
 unambiguous), highlight sentences that each mention one or two of them,
 and a source that restates every highlight plus extra mention-heavy
-sentences.
+sentences. Each document is written as a corpus line and read back by
+:func:`corpus.parse_document`, so its mentions are the ones the loader
+finds.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Sequence
 
-from .corpus import Document, Entity, EntityTable, Mention, SystemSummary
+from .corpus import Document, SystemSummary, parse_document, sentence_spans
 
 _NAME_PREFIXES = [
     "Bar", "Dor", "Fen", "Gal", "Hax", "Jor", "Kel", "Lim", "Mar", "Nev",
@@ -29,60 +31,14 @@ _SYLLABLES = ["ta", "ne", "ri", "mo", "su", "la", "ke", "vo", "di", "pa"]
 WORD_POOL = [a + b for a in _SYLLABLES for b in _SYLLABLES]
 
 
-class _DocBuilder:
-    """Accumulates sentences with marked entity slots, then assigns entity
-    ids by first mention (source first, then highlights)."""
-
-    def __init__(self, doc_id: str, surfaces: Sequence[tuple[str, ...]]) -> None:
-        self.doc_id = doc_id
-        self.surfaces = list(surfaces)
-        self.streams: dict[str, list[str]] = {}
-        self.placements: dict[str, list[tuple[int, int, int]]] = {}  # key, start, end
-
-    def add_sentence(self, stream: str, items: Sequence[object]) -> None:
-        tokens = self.streams.setdefault(stream, [])
-        placements = self.placements.setdefault(stream, [])
-        for item in items:
-            if isinstance(item, int):  # surface key
-                surface = self.surfaces[item]
-                placements.append((item, len(tokens), len(tokens) + len(surface)))
-                tokens.extend(surface)
-            else:
-                tokens.append(str(item))
-        tokens.append(".")
-
-    def build(self) -> Document:
-        order: list[int] = []
-        stream_names = ["source"] + sorted(
-            (s for s in self.streams if s != "source"),
-            key=lambda s: int(s.split("_")[1]),
-        )
-        for stream in stream_names:
-            for key, _, _ in self.placements.get(stream, []):
-                if key not in order:
-                    order.append(key)
-        ids = {key: eid for eid, key in enumerate(order)}
-
-        entities = [Entity(eid, (self.surfaces[key],)) for key, eid in sorted(ids.items(), key=lambda kv: kv[1])]
-        mentions: dict[str, list[Mention]] = {}
-        for stream in stream_names:
-            mentions[stream] = [
-                Mention(ids[key], start, end)
-                for key, start, end in self.placements.get(stream, [])
-            ]
-        highlights = tuple(
-            tuple(self.streams[s]) for s in stream_names if s != "source"
-        )
-        return Document(
-            id=self.doc_id,
-            source_tokens=tuple(self.streams["source"]),
-            highlights=highlights,
-            table=EntityTable(entities, mentions),
-        )
-
-
 def make_document(doc_id: str, rng: random.Random) -> Document:
-    """One synthetic document with complete annotations."""
+    """One synthetic document with complete annotations.
+
+    It is written as a corpus line without mentions, its entities listed in
+    order of first mention (source first, then highlights), and read back
+    by the corpus loader. No two names share a token, so surface matching
+    finds exactly the placed names.
+    """
     n_entities = rng.randint(2, 4)
     names: list[tuple[str, ...]] = []
     used: set[str] = set()
@@ -97,15 +53,14 @@ def make_document(doc_id: str, rng: random.Random) -> Document:
                 names.append(name)
                 break
 
-    words = rng.sample(WORD_POOL, len(WORD_POOL))
-    word_at = 0
+    words = iter(rng.sample(WORD_POOL, len(WORD_POOL)))
 
-    def take(n: int) -> list[str]:
-        nonlocal word_at
-        word_at += n
-        return words[word_at - n : word_at]
-
-    builder = _DocBuilder(doc_id, names)
+    def sentence(keys: list[int], n_words: int) -> list[object]:
+        """`n_words` fresh words with each name key inserted at a random place."""
+        items: list[object] = list(itertools.islice(words, n_words))
+        for key in keys:
+            items.insert(rng.randrange(len(items) + 1), key)
+        return items
 
     # Highlights: every entity shows up in at least one; some sentences pair two.
     slots: list[list[int]] = []
@@ -116,28 +71,30 @@ def make_document(doc_id: str, rng: random.Random) -> Document:
             slots.append([keys.pop(), keys.pop()])
         else:
             slots.append([keys.pop()])
-    for k, slot in enumerate(slots):
-        filler = take(rng.randint(5, 8))
-        items: list[object] = list(filler)
-        for key in slot:
-            items.insert(rng.randrange(len(items) + 1), key)
-        builder.add_sentence(f"highlight_{k}", items)
+    highlights = [sentence(slot, rng.randint(5, 8)) for slot in slots]
 
     # Source: restate each highlight's entities with fresh context words,
     # then a few repetition sentences to vary mention density.
-    for slot in slots:
-        filler = take(rng.randint(4, 7))
-        items = list(filler)
-        for key in slot:
-            items.insert(rng.randrange(len(items) + 1), key)
-        builder.add_sentence("source", items)
-    for _ in range(rng.randint(1, 3)):
-        key = rng.randrange(n_entities)
-        items = list(take(rng.randint(3, 5)))
-        items.insert(rng.randrange(len(items) + 1), key)
-        builder.add_sentence("source", items)
+    source = [sentence(slot, rng.randint(4, 7)) for slot in slots]
+    source += [
+        sentence([rng.randrange(n_entities)], rng.randint(3, 5))
+        for _ in range(rng.randint(1, 3))
+    ]
 
-    return builder.build()
+    def text(sentences: list[list[object]]) -> str:
+        return " ".join(
+            " ".join(names[x]) if isinstance(x, int) else x for s in sentences for x in [*s, "."]
+        )
+
+    order = dict.fromkeys(x for s in source + highlights for x in s if isinstance(x, int))
+    return parse_document({
+        "id": doc_id,
+        "source": text(source),
+        "highlights": [text([h]) for h in highlights],
+        "entities": [
+            {"id": eid, "surfaces": [" ".join(names[key])]} for eid, key in enumerate(order)
+        ],
+    })
 
 
 def make_corpus(n_docs: int, seed: int = 0) -> list[Document]:
@@ -164,8 +121,6 @@ def shuffled_summary(doc: Document, seed: int = 0) -> SystemSummary:
 
 def lead_summary(doc: Document, n_sentences: int = 3) -> SystemSummary:
     """The first source sentences, mirroring a lead-N baseline."""
-    from .corpus import sentence_spans
-
     spans = sentence_spans(doc.source_tokens)[:n_sentences]
     tokens: list[str] = []
     for start, end in spans:

@@ -463,6 +463,36 @@ class TestEvaluate:
             os.waitpid(int(pid_file.read_text()), os.WNOHANG)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "written, where",
+        [
+            (b'\xff\xfe{"qid"\n', "output line 1"),
+            # "\r\n" and a lone "\r" end a line, as in text mode
+            (b"\r\n\r\xff\n", "output line 3"),
+        ],
+        ids=["first line", "after carriage returns"],
+    )
+    def test_reader_output_that_is_not_text_names_reader_and_line(
+        self, tmp_path, capsys, written, where
+    ):
+        body = f"import sys; sys.stdin.read(); sys.stdout.buffer.write({written!r})"
+        rc, out = self.run_external(tmp_path, body)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: external reader {where} is not valid ")
+        assert "reader_stub.py" in err
+        assert "codec can't" not in err
+        assert not out.exists()
+
+    def test_reader_stderr_that_is_not_text_names_reader(self, tmp_path, capsys):
+        body = "import sys; sys.stdin.read(); sys.stderr.buffer.write(b'\\xff')"
+        rc, out = self.run_external(tmp_path, body)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: external reader stderr is not valid ")
+        assert "reader_stub.py" in err
+        assert not out.exists()
+
     def test_external_requires_command(self, tmp_path, capsys):
         corpus_path, sys_path, questions_path = make_inputs(tmp_path)
         rc = main(
@@ -701,6 +731,18 @@ class TestDecodeDemo:
         beam_out = capsys.readouterr().out
         assert main(argv + ["--exhaustive"]) == 0
         assert capsys.readouterr().out == beam_out
+
+    def test_exhaustive_past_the_recursion_limit(self, tmp_path, capsys):
+        # one content token: the search space is 1, but the walk is 2000 deep
+        path = tmp_path / "one_token.json"
+        path.write_text(json.dumps({"vocab": ["a", "</s>"], "eos": "</s>", "t_x": 1}))
+        argv = ["decode-demo", str(path), "--gamma", "0", "--max-len", "2000"]
+        assert main(argv + ["--exhaustive"]) == 0
+        exhaustive_out = capsys.readouterr().out
+        assert main(argv + ["--width", "1"]) == 0
+        beam_out = capsys.readouterr().out
+        assert exhaustive_out.splitlines()[:2] == beam_out.splitlines()[:2]
+        assert exhaustive_out.startswith("tokens: ")
 
     def test_gamma_without_saliency_errors(self, tmp_path, capsys):
         model = self.write_model(tmp_path)

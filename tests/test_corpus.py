@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from apes_eval.corpus import (
     CorpusError,
     anonymize_free_text,
     build_entity_table,
+    document_to_json,
     Entity,
     EntityTable,
     Mention,
@@ -286,6 +290,22 @@ def test_entity_ids_contiguous_on_synthetic_corpus():
             source_hits = [p for s, p in positions if s == "source"]
             first_positions.append(min(source_hits) if source_hits else float("inf"))
         assert first_positions == sorted(first_positions)
+
+
+# sha256 of the document_to_json lines of synth.make_corpus(200, seed),
+# pinned when synth still built its tables by hand, before it went through
+# the corpus loader; the loader must give the same documents.
+SYNTH_DIGESTS = {
+    0: "a7e92dc8d62022f7714b8a0499c4a9f0d6cf5518d60869af5c6aa6a84c779bb9",
+    5: "983b8401da8744298f3454e2c8f5b887bd7b7249f269eb8da7cfb66a6c85585a",
+    42: "b9a5f61cbd8994638b750901f9d8093a553f9487579732e74bff28ef06f4e7e3",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_DIGESTS))
+def test_synthetic_corpus_bytes_are_pinned(seed):
+    lines = "".join(json.dumps(document_to_json(d)) + "\n" for d in synth.make_corpus(200, seed))
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == SYNTH_DIGESTS[seed]
 
 
 def test_entity_token_roundtrip():

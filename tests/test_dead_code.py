@@ -1,7 +1,9 @@
-"""Every public top-level function and class of the package has a user.
+"""Every top-level function and class of the package has a user.
 
 A user is a reference outside the definition itself, in the package, the
-scripts or the benchmark harness. Tests do not count: a function only tests
+scripts or the benchmark harness. Private names (a leading underscore, not
+dunders) count too, so a helper that a new code path replaces is deleted
+with the path it served. Tests do not count: a function only tests
 call is code that no command runs, yet each CLI call that imports its module
 compiles it. The modules are parsed with ``ast``, not imported.
 
@@ -43,14 +45,25 @@ def _references(node: ast.AST) -> Counter:
     return found
 
 
-def _public_definitions() -> list[tuple[str, ast.AST]]:
+def _definitions(private: bool) -> list[tuple[str, ast.AST]]:
+    """Top-level functions and classes whose names are private or public."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
-            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            if is_def and not node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") == private and not node.name.startswith("__"):
                 found.append((f"{path.name}:{node.lineno}", node))
     return found
+
+
+def _unused(private: bool) -> list[str]:
+    total = _all_references()
+    return [
+        f"{where} {node.name}"
+        for where, node in _definitions(private)
+        if node.name not in EXEMPT and total[node.name] - _references(node)[node.name] == 0
+    ]
 
 
 def _all_references() -> Counter:
@@ -62,18 +75,16 @@ def _all_references() -> Counter:
 
 
 def test_every_public_definition_has_a_user():
-    total = _all_references()
-    unused = [
-        f"{where} {node.name}"
-        for where, node in _public_definitions()
-        if node.name not in EXEMPT and total[node.name] - _references(node)[node.name] == 0
-    ]
-    assert unused == [], "no command, script or benchmark runs these; delete them"
+    assert _unused(private=False) == [], "no command, script or benchmark runs these; delete them"
+
+
+def test_every_private_definition_has_a_user():
+    assert _unused(private=True) == [], "nothing calls these private helpers; delete them"
 
 
 def test_exemptions_are_defined_and_unused():
     total = _all_references()
-    defined = {node.name: node for _, node in _public_definitions()}
+    defined = {node.name: node for _, node in _definitions(private=False)}
     for name in EXEMPT:
         assert name in defined, f"exempt {name} is no longer defined"
         assert total[name] == _references(defined[name])[name], f"{name} has a user now"

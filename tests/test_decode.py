@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,27 @@ class TestBeamSearch:
         assert result.score == pytest.approx(
             parts["logp"] / parts["lp"] - parts["cp"] - parts["ep"], abs=1e-12
         )
+
+
+    def test_memory_does_not_grow_with_finished_hypotheses(self):
+        # the model of scripts/make_toy_model.py --max-len 2; without trigram
+        # blocking every step finishes `width` hypotheses, and keeping them
+        # all peaked at about 33 MB under tracemalloc
+        logp = {"a": math.log(0.7), "b": math.log(0.2), EOS: math.log(0.1)}
+        steps = {(): (logp, [0.5, 0.5]), ("a",): (logp, [1.0, 0.0]), ("b",): (logp, [0.0, 1.0])}
+        model = TableModel(["a", "b", EOS], EOS, 2, steps, [0.0, 1.0])
+        cfg = PenaltyConfig(
+            gamma=0.5, beam_width=4, max_len=1000, block_repeated_trigrams=False,
+            saliency=model.saliency,
+        )
+        tracemalloc.start()
+        try:
+            result = beam_search(model, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.tokens == ("a", "a")
+        assert peak < 2_000_000
 
 
 def _all_prefixes(content, length):

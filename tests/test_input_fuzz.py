@@ -49,6 +49,7 @@ def _run(capsys, argv):
     err = capsys.readouterr().err
     assert rc in (0, 1, 2)
     assert "Traceback" not in err
+    return err
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,8 @@ def test_external_reader_line_never_tracebacks(evaluate_inputs, echo_reader, cap
     else:
         lines[line] = value.encode() if kind == "text" else value
     answers_path.write_bytes(b"".join(text + b"\n" for text in lines))
-    _run(capsys, ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
-                  "--questions", str(tmp / "questions.jsonl"), "--reader", "external",
-                  "--reader-cmd", command, "--out", str(tmp / "report.json")])
+    err = _run(capsys, ["evaluate", "--corpus", corpus_path, "--sys", sys_path,
+                        "--questions", str(tmp / "questions.jsonl"), "--reader", "external",
+                        "--reader-cmd", command, "--out", str(tmp / "report.json")])
+    # output that is not text names the reader's line, not the codec's position
+    assert "codec can't" not in err
